@@ -6,9 +6,8 @@
 // Headline metrics:
 //   BM_StreamAssemble/N items_per_second — tasks/s through replay -> WindowAssembler ->
 //                                          per-window EventLog+Observation build (no StEM);
-//   BM_StreamEstimate/P items_per_second — end-to-end tasks/s including the per-window
-//                                          warm-started StEM runs (P=1 pipelines window
-//                                          N's sweeps with window N+1's ingestion);
+//   BM_StreamEstimate items_per_second   — end-to-end tasks/s including the per-window
+//                                          warm-started StEM runs;
 //   BM_StreamBoundedMemory/N peak_buffered_tasks — assembler high-water mark on a
 //                                          uniformly spaced synthetic stream; MUST be
 //                                          identical across N (CI gates equality: memory
@@ -94,8 +93,7 @@ void BM_StreamAssemble(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamAssemble)->Arg(2000)->Arg(16000)->Unit(benchmark::kMillisecond);
 
-// End-to-end: replay -> assembler -> warm-started windowed StEM. range(0) toggles
-// pipelining (results are bit-identical either way; only wall-clock changes).
+// End-to-end: replay -> assembler -> warm-started windowed StEM.
 void BM_StreamEstimate(benchmark::State& state) {
   const Fixture fixture = MakeFixture(2000);
   qnet::StreamingEstimatorOptions options;
@@ -103,26 +101,21 @@ void BM_StreamEstimate(benchmark::State& state) {
   options.stem.iterations = 12;
   options.stem.burn_in = 4;
   options.stem.wait_sweeps = 0;
-  options.pipeline = state.range(0) != 0;
   const std::vector<double> init(
       static_cast<std::size_t>(fixture.truth.NumQueues()), 1.0);
   double tasks_per_second = 0.0;
-  double max_lag = 0.0;
   for (auto _ : state) {
     qnet::LogReplayStream stream(fixture.truth, fixture.obs);
     qnet::StreamingEstimator estimator(init, 17, options);
     const auto estimates = estimator.Run(stream);
     benchmark::DoNotOptimize(estimates.size());
     tasks_per_second = estimator.Stats().tasks_per_second;
-    max_lag = estimator.Stats().max_sweep_lag_seconds;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
   state.counters["tasks_per_sec_last_pass"] = tasks_per_second;
-  state.counters["max_sweep_lag_ms"] = max_lag * 1e3;
-  state.counters["pipeline"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_StreamEstimate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_StreamEstimate)->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 // Live incremental simulation feeding the assembler: the sim-layer backend's throughput.
 void BM_StreamLiveSim(benchmark::State& state) {

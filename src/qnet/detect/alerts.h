@@ -8,7 +8,7 @@
 //
 // Determinism contract: alerts are a pure function of the WindowEstimate sequence a
 // ChangeMonitor observes. The pooled estimate sequence is bit-identical across sweep
-// threads, pipelining, and lane counts at fixed K (the standing streaming invariant),
+// threads and execution arrangements at fixed K (the standing streaming invariant),
 // so the alert sequence is too. Nothing in this layer feeds back into sampling.
 //
 // AlertKind doubles as a bitmask (1u << kind) so a window's alert set packs into the

@@ -15,8 +15,8 @@
 //   * an edge trigger on the estimator's degraded flag  -> kDegradedRun
 //
 // One-way-tap invariant: the monitor is a pure function of the WindowEstimate
-// sequence. The pooled sequence is bit-identical across sweep threads, pipelining,
-// and lane counts at fixed K (the standing streaming contract), so the alert log and
+// sequence. The pooled sequence is bit-identical across sweep threads and execution
+// arrangements at fixed K (the standing streaming contract), so the alert log and
 // per-window masks are too — and nothing here feeds back into sampling or estimation.
 //
 // Merged-tail semantics: a merged-tail re-fit REPLACES the previous window's estimate

@@ -58,13 +58,12 @@ void RunOnThreadPool(std::size_t items, std::size_t threads, const Work& work) {
   }
 }
 
-// One-deep pipeline stage: runs a single coarse work unit on a background thread while
-// the caller keeps producing (e.g. the streaming estimator overlaps window N's StEM
-// sweeps with window N+1's ingestion). Spawn-per-submit, matching RunOnThreadPool's
-// coarse-unit philosophy — a window estimate is milliseconds-to-seconds of work, so
-// thread spawn cost is noise. Exceptions thrown by the work unit are rethrown from
-// Wait(); a slot destroyed while busy joins first and swallows the exception (call
-// Wait() before destruction to observe it).
+// Runs a single coarse work unit on a background thread while the caller keeps
+// producing. Its one use is the sharded streaming fleet's lane threads
+// (shard/sharded_streaming.cc): each lane's whole RunLoop is one work unit, so a fleet
+// spawns K threads per Run(), never one per window. Exceptions thrown by the work unit
+// are rethrown from Wait(); a slot destroyed while busy joins first and swallows the
+// exception (call Wait() before destruction to observe it).
 class PipelineSlot {
  public:
   PipelineSlot() = default;

@@ -80,7 +80,10 @@ struct MoveFootprint {
   std::array<EventId, kMaxEvents> events{};
   std::size_t count = 0;
 
-  std::span<const EventId> Events() const { return {events.data(), count}; }
+  // Views `events`; on a temporary footprint the span would dangle, so that does not
+  // compile — bind the footprint to a local first.
+  std::span<const EventId> Events() const& { return {events.data(), count}; }
+  std::span<const EventId> Events() const&& = delete;
 
   bool Contains(EventId e) const {
     for (std::size_t i = 0; i < count; ++i) {

@@ -73,19 +73,24 @@ struct CellRealization {
 // realized clone. Reusable: every buffer keeps its capacity across RealizeOverlay calls.
 class CellOverlay {
  public:
+  // The span accessors view the overlay's own buffers, so calling them on a temporary
+  // would dangle and does not compile.
   // Per-server rates post-transform; index 0 = lambda (== CellRealization::rates).
-  std::span<const double> Rates() const { return rates_; }
+  std::span<const double> Rates() const& { return rates_; }
+  std::span<const double> Rates() const&& = delete;
   // Per-queue server counts (== CellRealization::servers).
-  std::span<const int> Servers() const { return servers_; }
+  std::span<const int> Servers() const& { return servers_; }
+  std::span<const int> Servers() const&& = delete;
   // Pooled DES service rates: [0] = lambda, [q] = servers[q] * rates[q] — exactly the
   // Exponential rates Realize() installs on the cloned network.
-  std::span<const double> PooledRates() const { return pooled_; }
+  std::span<const double> PooledRates() const& { return pooled_; }
+  std::span<const double> PooledRates() const&& = delete;
   double ArrivalRate() const { return rates_[0]; }
 
   // Effective emission row of `state` under this cell's routing edits: the edited,
   // renormalized row when the cell touched it, `fsm`'s own row otherwise. `fsm` must be
   // the base network's FSM the overlay was realized against.
-  std::span<const double> EmissionRow(const Fsm& fsm, int state) const {
+  std::span<const double> EmissionRow(const Fsm& fsm, int state) const& {
     const auto s = static_cast<std::size_t>(state);
     if (s < edited_index_.size() && edited_index_[s] >= 0) {
       return {edited_rows_.data() +
@@ -94,6 +99,7 @@ class CellOverlay {
     }
     return fsm.EmissionRow(state);
   }
+  std::span<const double> EmissionRow(const Fsm& fsm, int state) const&& = delete;
 
  private:
   friend class ScenarioGrid;

@@ -33,7 +33,7 @@ struct LaneStats {
   // High-water mark of the lane's ingest queue (records + tokens awaiting the worker);
   // pinned at the configured capacity when the router had to block (backpressure).
   std::size_t peak_queue_depth = 0;
-  // Wall-clock spent inside this lane's StEM fits.
+  // Wall-clock spent inside this lane's window fits (WindowFitter::Fit).
   double fit_seconds = 0.0;
   // Largest event-time distance the lane's processing trailed the router's ingest
   // watermark, sampled at every window-close broadcast.
@@ -54,7 +54,7 @@ struct FleetStats {
   // fleet ingested faster than its slowest lane could fit).
   double router_blocked_seconds = 0.0;
   // Longest a closed window waited between its close broadcast and the last lane
-  // delivering its fit — the fleet's analog of StreamingStats::max_sweep_lag_seconds.
+  // delivering its fit.
   double max_merge_lag_seconds = 0.0;
   // Pooled estimates emitted with degraded = true (some contributing lane fit was
   // mean-field-only; a merged-tail re-fit counts again).

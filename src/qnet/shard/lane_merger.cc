@@ -54,7 +54,7 @@ void LaneMerger::Post(std::size_t lane, LaneWindowFit fit) {
   }
 }
 
-bool LaneMerger::Pop(PooledWindow& out, bool block) {
+bool LaneMerger::Pop(WindowEstimate& out, bool block) {
   if (!block && complete_windows_.load(std::memory_order_acquire) == 0) {
     return false;  // lock-free fast path for the router's per-record polling
   }
@@ -74,10 +74,8 @@ bool LaneMerger::Pop(PooledWindow& out, bool block) {
   lock.unlock();
   {
     ScopedSpan span(SpanStage::kLaneMerge);
-    out.estimate = Pool(window);
+    out = Pool(window);
   }
-  out.window_index = window.decision.window_index;
-  out.replaces_previous = window.decision.merged_tail_tasks > 0;
   return true;
 }
 
@@ -103,19 +101,19 @@ WindowEstimate LaneMerger::Pool(const PendingWindow& window) const {
   estimate.window_local_arrival_rate = window_local_;
 
   // Single contributing lane: verbatim copy (see header — the bit-exactness anchor).
-  const LaneWindowFit* only = nullptr;
+  const WindowFit* only = nullptr;
   std::size_t contributing = 0;
-  for (const LaneWindowFit& fit : window.fits) {
-    if (fit.tasks > 0) {
+  for (const LaneWindowFit& lane : window.fits) {
+    if (lane.tasks > 0) {
       ++contributing;
-      only = &fit;
+      only = &lane.fit;
     }
   }
-  if (contributing == 1 && only->fitted) {
+  if (contributing == 1 && only->kind != WindowFitKind::kSkipped) {
     estimate.rates = only->rates;
     estimate.mean_wait = only->mean_wait;
-    estimate.degraded = only->degraded;
-    estimate.fit_iterations = only->fit_iterations;
+    estimate.degraded = only->kind == WindowFitKind::kMeanField;
+    estimate.fit_iterations = only->iterations;
     // One lane held every record, so no other lane's tasks queued here: nothing to
     // correct (and K = 1 must stay bit-exact).
     return estimate;
@@ -131,20 +129,21 @@ WindowEstimate LaneMerger::Pool(const PendingWindow& window) const {
   bool any_wait = false;
   double lambda = 0.0;
   // Lane-index order: the pooled value is a pure function of the fits.
-  for (const LaneWindowFit& fit : window.fits) {
-    if (fit.tasks == 0) {
+  for (const LaneWindowFit& lane : window.fits) {
+    if (lane.tasks == 0) {
       continue;  // empty lane window: contributes nothing
     }
-    const double weight = static_cast<double>(fit.tasks);
-    if (!fit.fitted) {
+    const double weight = static_cast<double>(lane.tasks);
+    const WindowFit& fit = lane.fit;
+    if (fit.kind == WindowFitKind::kSkipped) {
       // Skipped fit: the lane's share of the arrival process is still real load.
       lambda += weight / span;
       continue;
     }
     lambda += fit.rates[0];
     weight_sum += weight;
-    estimate.degraded = estimate.degraded || fit.degraded;
-    estimate.fit_iterations += fit.fit_iterations;
+    estimate.degraded = estimate.degraded || fit.kind == WindowFitKind::kMeanField;
+    estimate.fit_iterations += fit.iterations;
     for (std::size_t q = 1; q < fit.rates.size(); ++q) {
       estimate.rates[q] += weight * fit.rates[q];
     }
@@ -154,21 +153,22 @@ WindowEstimate LaneMerger::Pool(const PendingWindow& window) const {
   }
   // Every lane sat this window out (each sub-log missed some queue): there is no
   // service-rate estimate to pool, and emitting zeros would silently poison every
-  // downstream consumer (the plain estimator fails loudly on such a window, inside
-  // StEM's M-step). Reduce the lane count or widen the windows.
-  QNET_CHECK(weight_sum > 0.0, "window [", decision.t0, ", ", decision.t1,
-             ") has no fittable lane sub-log (every lane's share missed a queue)");
+  // downstream consumer. Fail like the plain estimator does on such a window; reduce
+  // the lane count or widen the windows.
+  CheckWindowFittable(weight_sum > 0.0, decision.t0, decision.t1);
   estimate.rates[0] = lambda;
   for (std::size_t q = 1; q < estimate.rates.size(); ++q) {
     estimate.rates[q] /= weight_sum;
   }
   if (any_wait && weight_sum > 0.0) {
     estimate.mean_wait.assign(static_cast<std::size_t>(num_queues_), 0.0);
-    for (const LaneWindowFit& fit : window.fits) {
-      if (fit.tasks == 0 || !fit.fitted || fit.mean_wait.empty()) {
+    for (const LaneWindowFit& lane : window.fits) {
+      const WindowFit& fit = lane.fit;
+      if (lane.tasks == 0 || fit.kind == WindowFitKind::kSkipped ||
+          fit.mean_wait.empty()) {
         continue;
       }
-      const double weight = static_cast<double>(fit.tasks);
+      const double weight = static_cast<double>(lane.tasks);
       for (std::size_t q = 0; q < fit.mean_wait.size(); ++q) {
         estimate.mean_wait[q] += weight * fit.mean_wait[q];
       }
@@ -191,9 +191,9 @@ WindowEstimate LaneMerger::Pool(const PendingWindow& window) const {
     lane_weights.reserve(window.fits.size());
     for (std::size_t q = 1; q < estimate.rates.size(); ++q) {
       std::size_t total_count = 0;
-      for (const LaneWindowFit& fit : window.fits) {
-        if (fit.queue_counts.size() > q) {
-          total_count += fit.queue_counts[q];
+      for (const LaneWindowFit& lane : window.fits) {
+        if (lane.queue_counts.size() > q) {
+          total_count += lane.queue_counts[q];
         }
       }
       if (total_count == 0) {
@@ -208,13 +208,14 @@ WindowEstimate LaneMerger::Pool(const PendingWindow& window) const {
       } else {
         lane_shares.clear();
         lane_weights.clear();
-        for (const LaneWindowFit& fit : window.fits) {
-          if (fit.tasks == 0 || !fit.fitted || fit.queue_counts.size() <= q) {
+        for (const LaneWindowFit& lane : window.fits) {
+          if (lane.tasks == 0 || lane.fit.kind == WindowFitKind::kSkipped ||
+              lane.queue_counts.size() <= q) {
             continue;
           }
-          lane_shares.push_back(static_cast<double>(fit.queue_counts[q]) /
+          lane_shares.push_back(static_cast<double>(lane.queue_counts[q]) /
                                 static_cast<double>(total_count));
-          lane_weights.push_back(static_cast<double>(fit.tasks));
+          lane_weights.push_back(static_cast<double>(lane.tasks));
         }
         estimate.rates[q] =
             ModelCrossLaneServiceRate(estimate.rates[q], lambda_q, lane_shares,

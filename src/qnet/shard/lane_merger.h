@@ -38,31 +38,20 @@
 
 #include "qnet/stream/streaming_estimator.h"
 #include "qnet/stream/window_assembler.h"
+#include "qnet/stream/window_fitter.h"
 #include "qnet/support/stopwatch.h"
 
 namespace qnet {
 
-// One lane's answer to one close token.
+// One lane's answer to one close token: the lane-local record count and the lane's
+// WindowFitter result (kSkipped when the lane held no records).
 struct LaneWindowFit {
-  std::size_t tasks = 0;  // lane-local record count in the window
-  bool fitted = false;    // a fit produced rates/mean_wait
-  bool skipped = false;   // records present but the sub-log missed a queue: no fit
-  // The fit is mean-field-only (degraded); the pooled estimate ORs this flag.
-  bool degraded = false;
-  // StEM iterations the lane's fit actually ran (0 for degraded fits); pooled by SUM.
-  std::size_t fit_iterations = 0;
-  std::vector<double> rates;
-  std::vector<double> mean_wait;
+  std::size_t tasks = 0;
+  WindowFit fit;
   // Per-queue event counts of the lane's sub-log (empty for empty lane windows). The
   // bias correction reconstructs each queue's TRUE event arrival rate from these sums —
   // counts are structure, exact regardless of how the lane fitted (or skipped).
   std::vector<std::size_t> queue_counts;
-};
-
-struct PooledWindow {
-  WindowEstimate estimate;
-  std::size_t window_index = 0;
-  bool replaces_previous = false;  // merged-tail re-close: replaces the last estimate
 };
 
 class LaneMerger {
@@ -89,7 +78,7 @@ class LaneMerger {
   // returns false when the oldest window is still incomplete (or none is pending); with
   // block=true, waits until it completes, returning false only when nothing is pending
   // or the fleet aborted.
-  bool Pop(PooledWindow& out, bool block);
+  bool Pop(WindowEstimate& out, bool block);
 
   // A lane died: wake any blocked Pop so the fleet can unwind (the lane's exception is
   // surfaced by its PipelineSlot).

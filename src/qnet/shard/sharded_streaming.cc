@@ -6,12 +6,12 @@
 #include <memory>
 #include <utility>
 
-#include "qnet/infer/stem.h"
 #include "qnet/infer/thread_pool.h"
 #include "qnet/shard/lane_merger.h"
 #include "qnet/shard/lane_queue.h"
 #include "qnet/shard/lane_router.h"
 #include "qnet/stream/window_assembler.h"
+#include "qnet/stream/window_fitter.h"
 #include "qnet/support/check.h"
 #include "qnet/support/stopwatch.h"
 #include "qnet/telemetry/metrics.h"
@@ -20,10 +20,10 @@
 namespace qnet {
 namespace {
 
-// One lane: bounded ingest queue + record buffer + per-window log build + warm-started
-// StEM fit chain. RunLoop consumes the queue until the finish token; everything the
-// worker does is a pure function of its item sequence, which the router makes a pure
-// function of the stream.
+// One lane: bounded ingest queue + record buffer + per-window log build + the window
+// fit step (WindowFitter). RunLoop consumes the queue until the finish token;
+// everything the worker does is a pure function of its item sequence, which the router
+// makes a pure function of the stream.
 class LaneWorker {
  public:
   LaneWorker(std::size_t lane, int num_queues, const ShardedStreamingOptions& options,
@@ -33,26 +33,8 @@ class LaneWorker {
         options_(options),
         merger_(merger),
         queue_(options.lane_queue_capacity),
-        chain_(std::move(init_rates), seed, options.stream.window_local_arrival_rate,
-               /*salted=*/options.lanes > 1, /*lane=*/lane),
-        mean_field_(options.stream.mean_field) {
-    // One scheduler per lane, rebuilt per window fit: windows on a lane are strictly
-    // sequential, so the cache is exclusively owned and every fit reuses the lane's
-    // coloring/bucket buffers (and worker pool, under sharded sweeps) instead of
-    // constructing a scheduler per window. Mirrors StreamingEstimator::Run — only wired
-    // when a fit would build a scheduler anyway, so a plain sequential configuration
-    // keeps its historical stream layout untouched.
-    if (options_.stream.stem.gibbs.batched || options_.stream.stem.sharded_sweeps) {
-      ShardedSweepOptions cache_options;
-      if (options_.stream.stem.sharded_sweeps) {
-        cache_options = options_.stream.stem.sharded;
-      } else {
-        cache_options.shards = 1;
-        cache_options.threads = 1;
-      }
-      scheduler_cache_ = std::make_unique<ShardedSweepScheduler>(cache_options);
-    }
-  }
+        fitter_(options.stream, std::move(init_rates), seed, /*salted=*/options.lanes > 1,
+                /*lane=*/lane) {}
 
   LaneQueue& Queue() { return queue_; }
   // Event-time progress of the worker, sampled by the router for lag stats.
@@ -124,68 +106,18 @@ class LaneWorker {
       // The sub-log's per-queue counts feed the merger's bias correction (lambda_q is
       // reconstructed from the summed counts — exact, fit or no fit).
       fit.queue_counts = log.PerQueueCount();
-      // A hash-thinned sub-window can miss a queue entirely; StEM cannot estimate a
-      // rate with no events.
-      bool every_queue_present = true;
-      for (const std::size_t count : fit.queue_counts) {
-        if (count == 0) {
-          every_queue_present = false;
-          break;
-        }
-      }
-      const FastPathMode mode = options_.stream.fast_path;
-      // Degradation triggers on the GLOBAL window task count (decision.count), a pure
-      // function of the stream — the same windows degrade at any lane count, keeping
-      // the fixed-K bit-equality and cross-K consistency contracts. Under the degrade
-      // policies a missing-queue sub-log also degrades (mean-field fallback with chain
-      // rates for the absent queues) instead of sitting the window out.
-      const bool degrade_policy =
-          mode == FastPathMode::kDegrade || mode == FastPathMode::kMeanFieldOnly;
-      const bool mean_field_only =
-          mode == FastPathMode::kMeanFieldOnly ||
-          (mode == FastPathMode::kDegrade &&
-           decision.count > options_.stream.degrade_task_budget) ||
-          (degrade_policy && !every_queue_present);
-      if (!every_queue_present && !degrade_policy) {
-        fit.skipped = true;
+      Stopwatch fitting;
+      fit.fit = fitter_.Fit(log, obs, decision.window_index,
+                            decision.merged_tail_tasks > 0, decision.t0, decision.count);
+      stats_.fit_seconds += fitting.ElapsedSeconds();
+      stats_.fit_iterations_total += fit.fit.iterations;
+      // A hash-thinned sub-window can miss a queue entirely: the lane's fit is skipped
+      // (its tasks still count toward the pooled lambda) or, under the degrade
+      // policies, answered with a mean-field fallback.
+      if (fit.fit.kind == WindowFitKind::kSkipped) {
         ++stats_.skipped_fits;
-      } else {
-        WindowFitChain::Plan plan = chain_.PlanFit(
-            decision.window_index, decision.merged_tail_tasks > 0, decision.t0);
-        if (mode != FastPathMode::kOff) {
-          // Mean-field fit of the sub-log: the warm start (queues without events keep
-          // the chain's previous rates) and, when degraded, the estimate itself.
-          mean_field_.Fit(log, obs, plan.arrival_time_origin, mf_fit_);
-          for (std::size_t q = 0; q < plan.warm_start.size(); ++q) {
-            if (mf_fit_.fitted[q] != 0) {
-              plan.warm_start[q] = mf_fit_.rates[q];
-            }
-          }
-        }
-        if (mean_field_only) {
-          chain_.Complete(plan.warm_start);
-          fit.fitted = true;
-          fit.degraded = true;
-          ++stats_.degraded_fits;
-          fit.rates = std::move(plan.warm_start);
-          fit.mean_wait = mf_fit_.mean_wait;
-        } else {
-          StemOptions stem = options_.stream.stem;
-          stem.arrival_time_origin = plan.arrival_time_origin;
-          stem.scheduler_cache = scheduler_cache_.get();
-          const StemEstimator estimator(stem);
-          Rng rng(plan.seed);
-          Stopwatch fitting;
-          const StemResult result =
-              estimator.Run(log, obs, std::move(plan.warm_start), rng);
-          stats_.fit_seconds += fitting.ElapsedSeconds();
-          stats_.fit_iterations_total += result.iterations_run;
-          chain_.Complete(result.rates);
-          fit.fitted = true;
-          fit.fit_iterations = result.iterations_run;
-          fit.rates = result.rates;
-          fit.mean_wait = result.mean_wait;
-        }
+      } else if (fit.fit.kind == WindowFitKind::kMeanField) {
+        ++stats_.degraded_fits;
       }
     }
     // Mirror the assembler: every normal close becomes the trailing-merge target (even
@@ -207,10 +139,7 @@ class LaneWorker {
   const ShardedStreamingOptions& options_;
   LaneMerger* merger_;
   LaneQueue queue_;
-  WindowFitChain chain_;
-  std::unique_ptr<ShardedSweepScheduler> scheduler_cache_;
-  MeanFieldEstimator mean_field_;
-  MeanFieldFit mf_fit_;
+  WindowFitter fitter_;
   std::vector<TaskRecord> buffer_;
   std::vector<TaskRecord> last_window_;
   std::atomic<double> watermark_{0.0};
@@ -279,29 +208,6 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     }
   };
 
-  const auto emit = [&](PooledWindow&& pooled) {
-    ScopedSpan span(SpanStage::kEmit);
-    const StreamCounters& counters = StreamCounters::Get();
-    if (pooled.estimate.degraded) {
-      ++stats_.degraded_windows;
-      counters.degraded_windows->Increment();
-    }
-    stats_.fit_iterations_total += pooled.estimate.fit_iterations;
-    counters.fit_iterations->Add(
-        static_cast<std::uint64_t>(pooled.estimate.fit_iterations));
-    if (pooled.replaces_previous) {
-      QNET_CHECK(!estimates.empty(), "merged-tail window with no previous estimate");
-      estimates.back() = std::move(pooled.estimate);
-    } else {
-      estimates.push_back(std::move(pooled.estimate));
-      ++stats_.windows_estimated;
-      counters.windows_estimated->Increment();
-    }
-    if (options_.stream.on_window) {
-      options_.stream.on_window(estimates.back());
-    }
-  };
-
   const auto broadcast_decisions = [&] {
     while (tracker.HasClosed()) {
       // Every routed record ahead of the token must reach its lane first.
@@ -347,9 +253,9 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
         flush_lane(lane);
       }
       broadcast_decisions();
-      PooledWindow pooled;
+      WindowEstimate pooled;
       while (merger.Pop(pooled, /*block=*/false)) {
-        emit(std::move(pooled));
+        EmitWindow(std::move(pooled), estimates, stats_, options_.stream.on_window);
       }
       if (merger.Aborted()) {
         break;
@@ -368,9 +274,9 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
   }
 
   broadcast_finish();
-  PooledWindow pooled;
+  WindowEstimate pooled;
   while (merger.Pop(pooled, /*block=*/true)) {
-    emit(std::move(pooled));
+    EmitWindow(std::move(pooled), estimates, stats_, options_.stream.on_window);
   }
   for (PipelineSlot& slot : slots) {
     slot.Wait();  // rethrows the first lane failure

@@ -3,9 +3,9 @@
 //
 // One ingest (router) thread pulls TaskRecords from any TraceStream and hash-partitions
 // them across K lanes (LaneRouter over support/task_hash.h). Each lane is an independent
-// worker — bounded ingest queue, per-window log assembly, and a warm-started windowed
-// StEM fit chain (the same WindowFitChain the plain StreamingEstimator uses) — running
-// on its own PipelineSlot thread (infer/thread_pool.h). A LaneMerger pools the K
+// worker — bounded ingest queue, per-window log assembly, and the plain
+// StreamingEstimator's window fit step (stream/window_fitter.h) — running on its own
+// PipelineSlot thread (infer/thread_pool.h). A LaneMerger pools the K
 // per-window fits into one WindowEstimate per global window.
 //
 // Window coordination: the router runs the WindowSpanTracker (the exact decision core of
@@ -21,8 +21,8 @@
 // (for K >= 2; a single-lane fleet elides the lane salt so K = 1 reproduces the plain
 // StreamingEstimator bit-exactly). Seeds, warm starts, window membership, and pooling
 // order are pure functions of (stream contents, options, base seed, K) — never of
-// thread scheduling, queue timing, sharded-sweep thread counts under each lane, or
-// pipelining. Pooled estimates are therefore bit-identical across every execution
+// thread scheduling, queue timing, or sharded-sweep thread counts under each lane.
+// Pooled estimates are therefore bit-identical across every execution
 // arrangement for a FIXED K. Across DIFFERENT K the estimates are statistically
 // consistent but not bit-identical: each lane fits its own hash-thinned sub-stream (the
 // mean-field-flavored decomposition that buys horizontal scaling), so K, like the chain
@@ -64,13 +64,12 @@ struct ShardedStreamingOptions {
   // pooled estimates are preserved bit-exactly. The single-contributing-lane verbatim
   // path is never corrected, so K = 1 reproduces the plain estimator either way.
   bool cross_lane_bias_correction = false;
-  // Window, StEM, lambda-anchoring and on_window options, shared by every lane.
-  // `stream.pipeline` is accepted but inert: lane workers always overlap their fits
-  // with the router's ingestion (the fleet subsumes pipelining); estimates are
-  // bit-identical either way. `stream.on_window` fires on the Run() caller's thread
-  // with the POOLED estimates, in window order — WindowForecaster rides the merged
-  // stream unchanged. `stream.fast_path` applies per lane: kDegrade triggers on the
-  // GLOBAL window task count (the same windows degrade at any K), and under
+  // Window, StEM, lambda-anchoring and on_window options, shared by every lane. Lane
+  // workers overlap their fits with the router's ingestion. `stream.on_window` fires
+  // on the Run() caller's thread with the POOLED estimates, in window order —
+  // WindowForecaster rides the merged stream unchanged. `stream.fast_path` applies per
+  // lane through the plain estimator's WindowFitter: kDegrade triggers on the GLOBAL
+  // window task count (the same windows degrade at any K), and under
   // kDegrade/kMeanFieldOnly a lane whose sub-log misses a queue answers with a
   // mean-field fallback fit instead of sitting the window out.
   StreamingEstimatorOptions stream;

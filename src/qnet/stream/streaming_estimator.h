@@ -1,25 +1,24 @@
 // Streaming windowed StEM: warm-started per-window estimation over a TraceStream.
 //
 // The estimator pulls TaskRecords from any TraceStream (replay, CSV, live simulator),
-// feeds them through a watermark-driven WindowAssembler, and runs a short StEM fit on
-// every closed window through the same MoveKernel/sweep-driver core as the batch
-// estimators — windows cannot drift from batch sampler behavior. Each window is
+// feeds them through a watermark-driven WindowAssembler, and fits every closed window
+// the moment it closes through WindowFitter (stream/window_fitter.h) — a short StEM run
+// on the same MoveKernel/sweep-driver core as the batch estimators, or a mean-field fit
+// under the fast-path policies — then emits the estimate at once. Each window is
 // warm-started from the previous window's rate estimate, yielding the rate trajectory
 // the paper's "what happened five minutes ago" diagnosis questions consume.
 //
-// Determinism contract (extends the PR-1/PR-2 contracts): window w's StEM run consumes
+// Determinism contract (extends the sampler's contracts): window w's StEM run consumes
 // an Rng seeded MixSeed(seed, w) — a pure function of the base seed and the window's
 // emission index, never of ingestion timing. Combined with the assembler's
 // order-preserving close and StEM's sharded-sweep contract, the estimate sequence is
-// bit-identical for any pipeline setting and any sharded-sweep thread count; only
-// wall-clock changes. The warm-start chain and seed discipline live in WindowFitChain,
-// which the sharded streaming front-end (shard/sharded_streaming.h) shares per lane —
-// a single-lane fleet therefore reproduces this estimator bit-exactly.
+// bit-identical for any sharded-sweep thread count; only wall-clock changes. The
+// warm-start chain, seed discipline and fit decision live in WindowFitter, which every
+// lane of the sharded streaming front-end (shard/sharded_streaming.h) runs too — a
+// single-lane fleet therefore reproduces this estimator bit-exactly.
 //
-// Pipelining: with `pipeline` set, window N's StEM sweeps run on a PipelineSlot
-// background thread while the caller's Run loop keeps ingesting window N+1 from the
-// stream (warm starts serialize the StEM runs themselves, so one slot is the maximal
-// useful depth). Stats() reports ingest throughput, sweep lag, and the assembler's
+// Everything runs on the caller's thread; the parallel axes are sharded sweeps within
+// a fit and the fleet's lanes. Stats() reports ingest throughput and the assembler's
 // late/dropped/peak-buffer counters.
 
 #ifndef QNET_STREAM_STREAMING_ESTIMATOR_H_
@@ -48,7 +47,9 @@ enum class FastPathMode {
   // kWarmStart, plus: a window whose task count exceeds degrade_task_budget emits the
   // mean-field fit directly (degraded = true) instead of running StEM. The trigger is
   // the window's task count — a pure function of the stream, never of wall-clock lag —
-  // so degraded runs keep the bit-equality determinism contract.
+  // so degraded runs keep the bit-equality determinism contract. A window whose log
+  // misses a queue also degrades (that queue keeps the chain's rate), where kOff and
+  // kWarmStart fail: StEM cannot estimate a rate with no events.
   kDegrade,
   // Every window emits its mean-field fit; no sampler runs at all (the all-variational
   // mode; also what degraded windows produce).
@@ -68,7 +69,8 @@ struct WindowEstimate {
   // WindowForecaster substitute an empirical rate in that case.
   bool window_local_arrival_rate = false;
   // True when this estimate is a mean-field fit rather than a StEM fit (degraded under
-  // kDegrade's task budget, or every window under kMeanFieldOnly).
+  // kDegrade — over the task budget or missing a queue — or every window under
+  // kMeanFieldOnly).
   bool degraded = false;
   // StEM iterations this window's fit actually ran (0 for degraded/mean-field-only
   // estimates); with convergence_tol set, the early-stop savings show up here.
@@ -85,19 +87,17 @@ struct WindowEstimate {
 struct StreamingEstimatorOptions {
   WindowAssemblerOptions window;
   StemOptions stem;
-  // Overlap window N's StEM sweeps with window N+1's ingestion.
-  bool pipeline = false;
   // Anchor each window's StEM lambda iterate to the window start (StemOptions::
   // arrival_time_origin = t0), so rates[0] estimates the window's own arrival rate
   // instead of the absolute-time-anchored iterate that decays as the stream ages.
   // Default off: the historical estimates are preserved bit-exactly.
   bool window_local_arrival_rate = false;
-  // Invoked on the ingest thread as each window's estimate completes, in window order —
-  // the continuous-forecasting hook (see scenario/forecast.h). A merged-tail re-fit
-  // invokes it once more with merged_tail_tasks > 0; such an estimate REPLACES the
-  // previous window's, and consumers should replace their derived state the same way.
-  // Runs inside Run()'s pipeline join, so a slow hook adds to sweep lag, never changes
-  // results (the estimate sequence stays bit-identical with or without a hook).
+  // Invoked on the Run() caller's thread as soon as each window's fit ends, in window
+  // order — the continuous-forecasting hook (see scenario/forecast.h). A merged-tail
+  // re-fit invokes it once more with merged_tail_tasks > 0; such an estimate REPLACES
+  // the previous window's, and consumers should replace their derived state the same
+  // way. A slow hook delays ingestion of the next records, never changes results (the
+  // estimate sequence stays bit-identical with or without a hook).
   std::function<void(const WindowEstimate&)> on_window;
   // Mean-field fast path (see FastPathMode). kOff preserves the StEM-only estimate
   // sequence bit-exactly.
@@ -115,8 +115,6 @@ struct StreamingStats {
   std::size_t peak_buffered_tasks = 0;
   double total_wall_seconds = 0.0;
   double tasks_per_second = 0.0;  // end-to-end sustained ingest rate
-  // Longest a closed window waited before its StEM run started (pipeline backpressure).
-  double max_sweep_lag_seconds = 0.0;
   // Windows that emitted a mean-field-only estimate (degraded = true).
   std::size_t degraded_windows = 0;
   // Sum of WindowEstimate::fit_iterations — with convergence_tol set, compare against
@@ -124,10 +122,10 @@ struct StreamingStats {
   std::size_t fit_iterations_total = 0;
 };
 
-// Warm-started per-window fit bookkeeping shared by StreamingEstimator and the sharded
-// streaming fleet's lanes: which rates a window's fit starts from (the previous window's
-// result; a merged-tail re-fit restarts from the SAME input its first fit consumed),
-// which seed it consumes, and which lambda anchoring it applies.
+// Warm-started per-window fit bookkeeping behind WindowFitter: which rates a window's
+// fit starts from (the previous window's result; a merged-tail re-fit restarts from the
+// SAME input its first fit consumed), which seed it consumes, and which lambda
+// anchoring it applies.
 //
 // Seed discipline: window w's fit is seeded
 //   MixSeed(base, w)                  — plain estimator / single-lane fleet, and

@@ -15,8 +15,8 @@ struct StageInfo {
 };
 
 constexpr StageInfo kStageInfo[kNumSpanStages] = {
-    {"window_assemble", 1}, {"queue_wait", 1},  {"stem_fit", 1},
-    {"meanfield_fit", 1},   {"lane_merge", 1},  {"emit", 1},
+    {"window_assemble", 1}, {"stem_fit", 1},    {"meanfield_fit", 1},
+    {"lane_merge", 1},      {"emit", 1},
     {"lane_blocked", 1},    {"scenario_cell", 1}, {"des_run", 1},
     {"detect_observe", 1},  {"lane_push", 2},   {"lane_pop", 2},
     {"sweep_color", 2},     {"sweep_bucket", 2}, {"sweep_tile", 3},

@@ -8,8 +8,8 @@
 // tables and Prometheus exposition read.
 //
 // Stage taxonomy and detail levels (Timeline::SetLevel, default 1):
-//   level 1 — pipeline lifecycle: window assemble, queue wait, StEM fit, mean-field fit,
-//             lane merge, emit, lane blocked, scenario cell, DES run.
+//   level 1 — pipeline lifecycle: window assemble, StEM fit, mean-field fit, lane merge,
+//             emit, lane blocked, scenario cell, DES run, detect observe.
 //   level 2 — shard plumbing and sweep structure: lane push/pop, sweep color class,
 //             sweep bucket.
 //   level 3 — batched move-kernel tile (per-tile; very hot, off by default).
@@ -37,7 +37,6 @@ namespace qnet {
 
 enum class SpanStage : std::uint8_t {
   kWindowAssemble = 0,  // materialize a closed window's records for fitting
-  kQueueWait,           // ingest thread waiting on the pipeline slot
   kStemFit,             // StemEstimator::Run
   kMeanFieldFit,        // MeanFieldEstimator::Fit
   kLaneMerge,           // LaneMerger pooling lane results into a fleet estimate

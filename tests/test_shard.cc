@@ -4,8 +4,8 @@
 // The load-bearing assertions are bit-exactness ones, mirroring the repo's established
 // threading contracts: (i) a single-lane fleet reproduces the plain StreamingEstimator
 // bit-exactly; (ii) for a FIXED lane count K the pooled estimate sequence is
-// bit-identical across sharded-sweep thread counts, pipelining, queue capacities
-// (backpressure), and repeated runs; (iii) window spans, counts, and emission indices
+// bit-identical across sharded-sweep thread counts, queue capacities (backpressure),
+// and repeated runs; (iii) window spans, counts, and emission indices
 // are bit-identical across DIFFERENT lane counts (the span tracker is global). Across
 // lane counts the pooled fits themselves are statistically consistent, not bit-equal —
 // each lane fits its own hash-thinned sub-stream by design — which a tolerance test
@@ -120,13 +120,12 @@ TEST(ShardedStreaming, SingleLaneMatchesStreamingEstimatorBitExactly) {
   }
 }
 
-TEST(ShardedStreaming, SingleLaneEquivalenceHoldsUnderShardedSweepsAndPipelining) {
+TEST(ShardedStreaming, SingleLaneEquivalenceHoldsUnderShardedSweeps) {
   const Fixture f;
   StreamingEstimatorOptions stream_options = ShortStemOptions();
   stream_options.stem.sharded_sweeps = true;
   stream_options.stem.sharded.shards = 2;
   stream_options.stem.sharded.threads = 2;
-  stream_options.pipeline = true;
 
   LogReplayStream plain_stream(f.truth, f.obs);
   StreamingEstimator plain({1.0, 1.0, 1.0}, 5, stream_options);
@@ -141,24 +140,21 @@ TEST(ShardedStreaming, SingleLaneEquivalenceHoldsUnderShardedSweepsAndPipelining
 
 // --- Fixed-K determinism across every execution arrangement ------------------------------
 
-TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossThreadsAndPipelining) {
-  // The acceptance grid: K in {1,2,4} lanes x {1,2,4} sharded-sweep threads per lane x
-  // pipelining on/off. For each K the pooled sequence must be bit-identical across the
-  // whole (threads, pipelining) sub-grid; only wall-clock may change.
+TEST(ShardedStreaming, PooledEstimatesBitIdenticalAcrossThreads) {
+  // The acceptance grid: K in {1,2,4} lanes x {1,2,4} sharded-sweep threads per lane.
+  // For each K the pooled sequence must be bit-identical across the thread counts; only
+  // wall-clock may change.
   const Fixture f;
   for (const std::size_t lanes : {1u, 2u, 4u}) {
     std::vector<std::vector<WindowEstimate>> runs;
     for (const std::size_t threads : {1u, 2u, 4u}) {
-      for (const bool pipeline : {false, true}) {
-        ShardedStreamingOptions options;
-        options.lanes = lanes;
-        options.stream = ShortStemOptions();
-        options.stream.stem.sharded_sweeps = true;
-        options.stream.stem.sharded.shards = 2;
-        options.stream.stem.sharded.threads = threads;
-        options.stream.pipeline = pipeline;
-        runs.push_back(RunFleet(f, options, 42));
-      }
+      ShardedStreamingOptions options;
+      options.lanes = lanes;
+      options.stream = ShortStemOptions();
+      options.stream.stem.sharded_sweeps = true;
+      options.stream.stem.sharded.shards = 2;
+      options.stream.stem.sharded.threads = threads;
+      runs.push_back(RunFleet(f, options, 42));
     }
     ASSERT_GE(runs.front().size(), 3u) << "lanes=" << lanes;
     for (std::size_t i = 1; i < runs.size(); ++i) {
@@ -294,6 +290,34 @@ TaskRecord TinyRecord(double entry, double service = 0.01) {
   return record;
 }
 
+// The fixture's tasks with a window of TinyRecords spliced in at [50, 75) (tasks
+// entering from t = 50 on shift 25 s later): under 25 s windows that window's log
+// misses queue 2, and every other window's log holds every queue.
+std::vector<TaskRecord> RecordsWithMissingQueueWindow(const Fixture& f) {
+  constexpr double kSplice = 50.0;
+  constexpr double kShift = 25.0;
+  std::vector<TaskRecord> records;
+  bool spliced = false;
+  for (int task = 0; task < f.truth.NumTasks(); ++task) {
+    TaskRecord record = MakeTaskRecord(f.truth, f.obs, task);
+    if (record.entry_time >= kSplice) {
+      if (!spliced) {
+        for (int i = 0; i < 12; ++i) {
+          records.push_back(TinyRecord(kSplice + 1.0 + i));
+        }
+        spliced = true;
+      }
+      record.entry_time += kShift;
+      for (TaskVisit& visit : record.visits) {
+        visit.arrival += kShift;
+        visit.departure += kShift;
+      }
+    }
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
 TEST(ShardedStreaming, LateRecordPoliciesMatchAssemblerSemantics) {
   // A record behind the closed span: dropped (and counted) under kDrop, folded into the
   // open window under kMergeIntoCurrent — with every task accounted for in the pooled
@@ -340,7 +364,7 @@ TEST(ShardedStreaming, LateRecordPoliciesMatchAssemblerSemantics) {
 TEST(ShardedStreaming, WindowWithNoFittableLaneFailsLoudly) {
   // Every record visits only queue 1 of a 3-queue network, so every lane's sub-log
   // misses queue 2 and no lane can fit any window — the fleet must fail like the plain
-  // estimator does (inside StEM's M-step), not silently emit zero service rates.
+  // estimator does, not silently emit zero service rates.
   std::vector<TaskRecord> records;
   for (int i = 0; i < 12; ++i) {
     records.push_back(TinyRecord(1.0 + i));
@@ -548,8 +572,8 @@ TEST(LaneRouter, RejectsOutOfRangePartitioner) {
 // --- Mean-field fast path across the fleet -----------------------------------------------
 
 TEST(ShardedStreaming, SingleLaneFastPathMatchesStreamingEstimatorBitExactly) {
-  // The K = 1 anchor extends to every fast-path mode: a single-lane fleet is the plain
-  // estimator, bit for bit.
+  // The K = 1 anchor extends to every fast-path mode and to a window whose log misses
+  // a queue: a single-lane fleet is the plain estimator, bit for bit.
   const Fixture f;
   for (const FastPathMode mode :
        {FastPathMode::kWarmStart, FastPathMode::kDegrade, FastPathMode::kMeanFieldOnly}) {
@@ -569,31 +593,61 @@ TEST(ShardedStreaming, SingleLaneFastPathMatchesStreamingEstimatorBitExactly) {
     const auto pooled = RunFleet(f, fleet_options, 83);
     ExpectEstimatesIdentical(reference, pooled);
   }
+
+  // A window whose log misses a queue: under kDegrade (default budget) both degrade it
+  // to its mean-field fit; under kOff both reject it.
+  const std::vector<TaskRecord> records = RecordsWithMissingQueueWindow(f);
+  StreamingEstimatorOptions stream_options = ShortStemOptions();
+  stream_options.fast_path = FastPathMode::kDegrade;
+  stream_options.stem.convergence_tol = 0.05;
+  ShardedStreamingOptions fleet_options;
+  fleet_options.lanes = 1;
+  fleet_options.stream = stream_options;
+
+  qnet_testing::VectorStream plain_stream(records, 3);
+  StreamingEstimator plain({1.0, 1.0, 1.0}, 83, stream_options);
+  const auto reference = plain.Run(plain_stream);
+  qnet_testing::VectorStream fleet_stream(records, 3);
+  ShardedStreamingEstimator fleet({1.0, 1.0, 1.0}, 83, fleet_options);
+  ExpectEstimatesIdentical(reference, fleet.Run(fleet_stream));
+  ASSERT_GE(reference.size(), 4u);
+  std::size_t degraded = 0;
+  for (const WindowEstimate& estimate : reference) {
+    EXPECT_EQ(estimate.degraded, estimate.t0 == 50.0) << "window at " << estimate.t0;
+    degraded += estimate.degraded ? 1 : 0;
+  }
+  EXPECT_EQ(degraded, 1u);
+
+  stream_options.fast_path = FastPathMode::kOff;
+  fleet_options.stream = stream_options;
+  qnet_testing::VectorStream off_plain_stream(records, 3);
+  StreamingEstimator off_plain({1.0, 1.0, 1.0}, 83, stream_options);
+  EXPECT_THROW(off_plain.Run(off_plain_stream), Error);
+  qnet_testing::VectorStream off_fleet_stream(records, 3);
+  ShardedStreamingEstimator off_fleet({1.0, 1.0, 1.0}, 83, fleet_options);
+  EXPECT_THROW(off_fleet.Run(off_fleet_stream), Error);
 }
 
-TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossThreadsAndPipelining) {
+TEST(ShardedStreaming, FastPathPooledEstimatesBitIdenticalAcrossThreads) {
   // The fleet's determinism contract holds verbatim in degraded and all-variational
-  // modes: for a FIXED lane count, sharded-sweep threads and pipelining never change a
-  // bit. Across lane counts the degraded flags still agree, because the degrade trigger
-  // is the GLOBAL window task count, not any lane-local share.
+  // modes: for a FIXED lane count, sharded-sweep threads never change a bit. Across
+  // lane counts the degraded flags still agree, because the degrade trigger is the
+  // GLOBAL window task count, not any lane-local share.
   const Fixture f;
   for (const FastPathMode mode : {FastPathMode::kDegrade, FastPathMode::kMeanFieldOnly}) {
     std::vector<std::vector<WindowEstimate>> per_lane_count;
     for (const std::size_t lanes : {1u, 2u, 4u}) {
       std::vector<std::vector<WindowEstimate>> runs;
       for (const std::size_t threads : {1u, 2u}) {
-        for (const bool pipeline : {false, true}) {
-          ShardedStreamingOptions options;
-          options.lanes = lanes;
-          options.stream = ShortStemOptions();
-          options.stream.fast_path = mode;
-          options.stream.degrade_task_budget = 100;
-          options.stream.stem.sharded_sweeps = true;
-          options.stream.stem.sharded.shards = 2;
-          options.stream.stem.sharded.threads = threads;
-          options.stream.pipeline = pipeline;
-          runs.push_back(RunFleet(f, options, 21));
-        }
+        ShardedStreamingOptions options;
+        options.lanes = lanes;
+        options.stream = ShortStemOptions();
+        options.stream.fast_path = mode;
+        options.stream.degrade_task_budget = 100;
+        options.stream.stem.sharded_sweeps = true;
+        options.stream.stem.sharded.shards = 2;
+        options.stream.stem.sharded.threads = threads;
+        runs.push_back(RunFleet(f, options, 21));
       }
       ASSERT_GE(runs.front().size(), 3u);
       for (std::size_t i = 1; i < runs.size(); ++i) {

@@ -1,19 +1,19 @@
 // Streaming inference engine: trace streams, watermark-driven window assembly, and the
-// pipelined windowed StEM estimator.
+// windowed StEM estimator.
 //
 // The load-bearing assertions are bit-exactness ones: the streaming engine must
 // reproduce the batch windowed estimator exactly — same windows, same estimates — for
-// any sharded-sweep thread count and any pipelining, and the window logs built
-// incrementally from TaskRecords must equal the ones ExtractTaskWindow builds from the
-// batch log.
+// any sharded-sweep thread count, and the window logs built incrementally from
+// TaskRecords must equal the ones the ExtractTaskWindow oracle (support/) builds from
+// the batch log.
 
 #include <cmath>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "support/extract_task_window.h"
 #include "support/vector_stream.h"
-#include "qnet/infer/online.h"
 #include "qnet/infer/stem.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
@@ -30,6 +30,8 @@
 
 namespace qnet {
 namespace {
+
+using qnet_testing::ExtractTaskWindow;
 
 struct Fixture {
   EventLog truth;
@@ -124,6 +126,128 @@ TEST(WindowLogBuilder, IsReusableAcrossWindows) {
   EXPECT_EQ(second_log.NumTasks(), 1);
   EXPECT_EQ(second_log.TaskEntryTime(0), f.truth.TaskEntryTime(2));
   second_obs.Validate(second_log);
+}
+
+// --- ExtractTaskWindow (the batch-windowing oracle) ----------------------------------
+
+TEST(ExtractTaskWindow, PreservesTimesLinksAndFlags) {
+  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
+  Rng rng(3);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 60), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.4;
+  const Observation obs = scheme.Apply(truth, rng);
+
+  const std::vector<int> tasks = {10, 11, 12, 13, 14, 20, 21};
+  const auto [window, window_obs] = ExtractTaskWindow(truth, obs, tasks);
+  EXPECT_EQ(window.NumTasks(), 7);
+  std::string why;
+  EXPECT_TRUE(window.IsFeasible(1e-9, &why)) << why;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const int wk = static_cast<int>(i);
+    EXPECT_DOUBLE_EQ(window.TaskEntryTime(wk), truth.TaskEntryTime(tasks[i]));
+    EXPECT_DOUBLE_EQ(window.TaskExitTime(wk), truth.TaskExitTime(tasks[i]));
+    // Arrival observation flags carried over per event.
+    const auto& old_chain = truth.TaskEvents(tasks[i]);
+    const auto& new_chain = window.TaskEvents(wk);
+    ASSERT_EQ(old_chain.size(), new_chain.size());
+    for (std::size_t j = 1; j < old_chain.size(); ++j) {
+      EXPECT_EQ(window_obs.ArrivalObserved(new_chain[j]), obs.ArrivalObserved(old_chain[j]));
+    }
+  }
+  window_obs.Validate(window);
+}
+
+TEST(ExtractTaskWindow, SingleTaskWindow) {
+  // Boundary invariant: a one-task window is a valid log — initial event anchored at 0,
+  // links rebuilt, observation consistent.
+  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
+  Rng rng(17);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 30), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.5;
+  const Observation obs = scheme.Apply(truth, rng);
+
+  const auto [window, window_obs] = ExtractTaskWindow(truth, obs, {12});
+  ASSERT_EQ(window.NumTasks(), 1);
+  std::string why;
+  EXPECT_TRUE(window.IsFeasible(1e-9, &why)) << why;
+  EXPECT_DOUBLE_EQ(window.TaskEntryTime(0), truth.TaskEntryTime(12));
+  EXPECT_DOUBLE_EQ(window.TaskExitTime(0), truth.TaskExitTime(12));
+  const auto& chain = window.TaskEvents(0);
+  ASSERT_EQ(chain.size(), truth.TaskEvents(12).size());
+  // With every cross-task neighbor cut away, each event's rho/nu links stay within the
+  // task's own queue visits (no dangling ids).
+  for (const EventId e : chain) {
+    const Event& ev = window.At(e);
+    if (ev.rho != kNoEvent) {
+      EXPECT_EQ(window.At(ev.rho).task, 0);
+    }
+    if (ev.nu != kNoEvent) {
+      EXPECT_EQ(window.At(ev.nu).task, 0);
+    }
+  }
+  window_obs.Validate(window);
+}
+
+TEST(ExtractTaskWindow, RederivesDepartureFlagsAndKeepsFinalOnes) {
+  // Departure flags are the same physical measurement as the successor's arrival, so the
+  // window re-derives every internal departure flag from its successor arrival flag; only
+  // each task's *final* departure flag (nobody's arrival) carries over from the source.
+  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
+  Rng rng(19);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 40), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.5;
+  scheme.observe_final_departure = false;  // exercises the unobserved-final-exit corner
+  const Observation obs = scheme.Apply(truth, rng);
+
+  const std::vector<int> tasks = {5, 6, 7, 20, 21};
+  const auto [window, window_obs] = ExtractTaskWindow(truth, obs, tasks);
+  for (int wk = 0; wk < window.NumTasks(); ++wk) {
+    const auto& chain = window.TaskEvents(wk);
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      const Event& ev = window.At(chain[i]);
+      EXPECT_EQ(window_obs.DepartureObserved(ev.pi), window_obs.ArrivalObserved(chain[i]))
+          << "task " << wk << " step " << i;
+    }
+    // Final departure: carried from the source, here never observed.
+    EXPECT_EQ(window_obs.DepartureObserved(chain.back()),
+              obs.DepartureObserved(truth.TaskEvents(tasks[static_cast<std::size_t>(wk)]).back()));
+    EXPECT_FALSE(window_obs.DepartureObserved(chain.back()));
+  }
+  window_obs.Validate(window);
+}
+
+TEST(ExtractTaskWindow, ReconstructsObservedTasks) {
+  // observed_tasks must be exactly the window-renumbered source observed tasks that made
+  // it into the window, in sorted order.
+  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
+  Rng rng(23);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 50), rng);
+  TaskSamplingScheme scheme;
+  const Observation obs = scheme.ApplyToTasks(truth, {2, 3, 9, 30, 31});
+
+  const std::vector<int> tasks = {3, 4, 9, 10, 30};
+  const auto [window, window_obs] = ExtractTaskWindow(truth, obs, tasks);
+  // Source observed tasks inside the window: 3 -> 0, 9 -> 2, 30 -> 4.
+  const std::vector<int> expected = {0, 2, 4};
+  EXPECT_EQ(window_obs.observed_tasks, expected);
+  for (const int wk : window_obs.observed_tasks) {
+    const auto& chain = window.TaskEvents(wk);
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      EXPECT_TRUE(window_obs.ArrivalObserved(chain[i]));
+    }
+  }
+}
+
+TEST(ExtractTaskWindow, RejectsUnsortedTasks) {
+  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0});
+  Rng rng(5);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 10), rng);
+  const Observation obs = Observation::FullyObserved(truth);
+  EXPECT_THROW(ExtractTaskWindow(truth, obs, {3, 1}), Error);
+  EXPECT_THROW(ExtractTaskWindow(truth, obs, {}), Error);
 }
 
 // --- Replay streams --------------------------------------------------------------------
@@ -512,6 +636,103 @@ std::vector<WindowEstimate> ReferenceWindowedStem(const EventLog& truth,
   return estimates;
 }
 
+// Windowed StEM over a whole batch log, replayed through the streaming estimator.
+std::vector<WindowEstimate> StreamLog(const EventLog& truth, const Observation& obs,
+                                      std::vector<double> init_rates, std::uint64_t seed,
+                                      const StreamingEstimatorOptions& options) {
+  LogReplayStream stream(truth, obs);
+  StreamingEstimator estimator(std::move(init_rates), seed, options);
+  return estimator.Run(stream);
+}
+
+TEST(OnlineStem, ProducesPerWindowEstimates) {
+  const QueueingNetwork net = MakeSingleQueueNetwork(4.0, 8.0);
+  Rng rng(7);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(4.0, 600), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.5;
+  const Observation obs = scheme.Apply(truth, rng);
+
+  StreamingEstimatorOptions options;
+  options.window.window_duration = 30.0;
+  options.stem.iterations = 40;
+  options.stem.burn_in = 15;
+  options.stem.wait_sweeps = 0;
+  const auto estimates = StreamLog(truth, obs, {1.0, 1.0}, rng.NextU64(), options);
+  ASSERT_GE(estimates.size(), 3u);
+  for (const auto& window : estimates) {
+    EXPECT_GT(window.tasks, 0u);
+    ASSERT_EQ(window.rates.size(), 2u);
+    EXPECT_NEAR(1.0 / window.rates[1], 1.0 / 8.0, 0.08) << "window at " << window.t0;
+  }
+}
+
+TEST(OnlineStem, ShardedWindowSweepsAreDeterministicAndAccurate) {
+  // Streaming windows ride the same MoveKernel/sweep-driver core as batch StEM, so
+  // flipping on sharded sweeps must keep estimates deterministic (thread count cannot
+  // change them) and as accurate as the sequential scan.
+  const QueueingNetwork net = MakeSingleQueueNetwork(4.0, 8.0);
+  Rng rng(7);
+  const EventLog truth = SimulateWorkload(net, PoissonArrivals(4.0, 400), rng);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.5;
+  const Observation obs = scheme.Apply(truth, rng);
+
+  StreamingEstimatorOptions options;
+  options.window.window_duration = 30.0;
+  options.stem.iterations = 40;
+  options.stem.burn_in = 15;
+  options.stem.wait_sweeps = 0;
+  options.stem.sharded_sweeps = true;
+  options.stem.sharded.shards = 2;
+
+  options.stem.sharded.threads = 1;
+  Rng rng_a(21);
+  const auto serial = StreamLog(truth, obs, {1.0, 1.0}, rng_a.NextU64(), options);
+  options.stem.sharded.threads = 2;
+  Rng rng_b(21);
+  const auto parallel = StreamLog(truth, obs, {1.0, 1.0}, rng_b.NextU64(), options);
+
+  ASSERT_GE(serial.size(), 3u);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t w = 0; w < serial.size(); ++w) {
+    ASSERT_EQ(serial[w].rates.size(), parallel[w].rates.size());
+    for (std::size_t q = 0; q < serial[w].rates.size(); ++q) {
+      EXPECT_EQ(serial[w].rates[q], parallel[w].rates[q]) << "window " << w << " q=" << q;
+    }
+    EXPECT_NEAR(1.0 / serial[w].rates[1], 1.0 / 8.0, 0.08) << "window at " << serial[w].t0;
+  }
+}
+
+TEST(OnlineStem, TracksMidStreamServiceDegradation) {
+  // The queue slows down 4x halfway through; window estimates should reflect it.
+  const QueueingNetwork net = MakeSingleQueueNetwork(2.0, 10.0);
+  FaultSchedule faults;
+  faults.AddSlowdown(1, 150.0, 1.0e9, 4.0);
+  SimOptions sim_options;
+  sim_options.faults = &faults;
+  Rng rng(11);
+  const EventLog truth =
+      Simulate(net, PoissonArrivals(2.0, 600).Generate(rng), rng, sim_options);
+  TaskSamplingScheme scheme;
+  scheme.fraction = 0.6;
+  const Observation obs = scheme.Apply(truth, rng);
+
+  StreamingEstimatorOptions options;
+  options.window.window_duration = 75.0;
+  options.stem.iterations = 40;
+  options.stem.burn_in = 15;
+  options.stem.wait_sweeps = 0;
+  const auto estimates = StreamLog(truth, obs, {1.0, 1.0}, rng.NextU64(), options);
+  ASSERT_GE(estimates.size(), 3u);
+  const auto& first = estimates.front();
+  const auto& last = estimates.back();
+  const double early_service = 1.0 / first.rates[1];
+  const double late_service = 1.0 / last.rates[1];
+  EXPECT_NEAR(early_service, 0.1, 0.05);
+  EXPECT_GT(late_service, 2.0 * early_service);
+}
+
 TEST(StreamingEstimator, MatchesBatchReferenceBitIdentically) {
   const Fixture f;
   const std::vector<double> init = {1.0, 1.0, 1.0};
@@ -527,9 +748,9 @@ TEST(StreamingEstimator, MatchesBatchReferenceBitIdentically) {
   ExpectEstimatesIdentical(reference, streamed);
 }
 
-TEST(StreamingEstimator, BitIdenticalAcrossThreadCountsAndPipelining) {
-  // The acceptance bar: 1/2/4 sharded-sweep threads, pipelining on or off — the window
-  // estimate sequence is bit-identical; only wall-clock may change.
+TEST(StreamingEstimator, BitIdenticalAcrossThreadCounts) {
+  // The acceptance bar: 1/2/4 sharded-sweep threads — the window estimate sequence is
+  // bit-identical; only wall-clock may change.
   const Fixture f;
   const std::vector<double> init = {1.0, 1.0, 1.0};
   const std::uint64_t seed = 5;
@@ -539,42 +760,13 @@ TEST(StreamingEstimator, BitIdenticalAcrossThreadCountsAndPipelining) {
 
   std::vector<std::vector<WindowEstimate>> runs;
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    for (const bool pipeline : {false, true}) {
-      options.stem.sharded.threads = threads;
-      options.pipeline = pipeline;
-      LogReplayStream stream(f.truth, f.obs);
-      StreamingEstimator estimator(init, seed, options);
-      runs.push_back(estimator.Run(stream));
-    }
+    options.stem.sharded.threads = threads;
+    runs.push_back(StreamLog(f.truth, f.obs, init, seed, options));
   }
   ASSERT_GE(runs.front().size(), 3u);
   for (std::size_t i = 1; i < runs.size(); ++i) {
     ExpectEstimatesIdentical(runs.front(), runs[i]);
   }
-}
-
-TEST(StreamingEstimator, RunOnlineStemIsAThinAdapter) {
-  // RunOnlineStem(rng) == StreamingEstimator(seed = rng.NextU64()) over a replay stream.
-  const Fixture f;
-  OnlineStemOptions online;
-  online.window_duration = 25.0;
-  online.stem.iterations = 30;
-  online.stem.burn_in = 10;
-  online.stem.wait_sweeps = 0;
-
-  Rng rng(123);
-  const auto adapter = RunOnlineStem(f.truth, f.obs, {1.0, 1.0, 1.0}, rng, online);
-
-  Rng seed_rng(123);
-  StreamingEstimatorOptions options;
-  options.window.window_duration = online.window_duration;
-  options.window.min_tasks_per_window = online.min_tasks_per_window;
-  options.stem = online.stem;
-  LogReplayStream stream(f.truth, f.obs);
-  StreamingEstimator estimator({1.0, 1.0, 1.0}, seed_rng.NextU64(), options);
-  const auto streamed = estimator.Run(stream);
-
-  ExpectEstimatesIdentical(adapter, streamed);
 }
 
 TEST(StreamingEstimator, CsvReplayMatchesInMemoryReplay) {
@@ -606,18 +798,17 @@ TEST(StreamingEstimator, TrailingWindowIsMergedNotDropped) {
   EventLog truth = SimulateWorkload(net, PoissonArrivals(4.0, 120), rng);
   const Observation obs = Observation::FullyObserved(truth);
 
-  OnlineStemOptions options;
+  StreamingEstimatorOptions options;
   // Choose a duration so the last window holds only a couple of tasks: entries run to
   // roughly 120/4 = 30s; a 12s window leaves a small remainder with high probability.
-  options.window_duration = 12.0;
-  options.min_tasks_per_window = 30;
+  options.window.window_duration = 12.0;
+  options.window.min_tasks_per_window = 30;
   options.stem.iterations = 20;
   options.stem.burn_in = 5;
   options.stem.wait_sweeps = 0;
 
   Rng est_rng(7);
-  const auto estimates =
-      RunOnlineStem(truth, obs, {1.0, 1.0}, est_rng, options);
+  const auto estimates = StreamLog(truth, obs, {1.0, 1.0}, est_rng.NextU64(), options);
   ASSERT_GE(estimates.size(), 1u);
   std::size_t total_tasks = 0;
   for (const auto& est : estimates) {
@@ -630,7 +821,7 @@ TEST(StreamingEstimator, TrailingWindowIsMergedNotDropped) {
   // The final estimate's span covers the last task's entry time.
   EXPECT_GE(estimates.back().t1, truth.TaskEntryTime(truth.NumTasks() - 1));
   if (merged > 0) {
-    EXPECT_LT(merged, std::max<std::size_t>(options.min_tasks_per_window, 2));
+    EXPECT_LT(merged, std::max<std::size_t>(options.window.min_tasks_per_window, 2));
   }
 }
 
@@ -642,14 +833,14 @@ TEST(StreamingEstimator, TinyStreamWithNoFullWindowStillEstimates) {
   EventLog truth = SimulateWorkload(net, PoissonArrivals(2.0, 3), rng);
   const Observation obs = Observation::FullyObserved(truth);
 
-  OnlineStemOptions options;
-  options.window_duration = 1000.0;
-  options.min_tasks_per_window = 8;
+  StreamingEstimatorOptions options;
+  options.window.window_duration = 1000.0;
+  options.window.min_tasks_per_window = 8;
   options.stem.iterations = 10;
   options.stem.burn_in = 2;
   options.stem.wait_sweeps = 0;
   Rng est_rng(9);
-  const auto estimates = RunOnlineStem(truth, obs, {1.0, 1.0}, est_rng, options);
+  const auto estimates = StreamLog(truth, obs, {1.0, 1.0}, est_rng.NextU64(), options);
   ASSERT_EQ(estimates.size(), 1u);
   EXPECT_EQ(estimates.front().tasks, 3u);
 }
@@ -788,21 +979,18 @@ TEST(StreamingEstimator, WarmStartFastPathSavesIterationsDeterministically) {
   warm.stem.convergence_tol = 0.05;
   warm.stem.convergence_patience = 2;
 
-  // Bit-identical across pipelining and sharded thread counts, like the sampler path.
+  // Bit-identical across sharded thread counts, like the sampler path.
   std::vector<std::vector<WindowEstimate>> runs;
   std::size_t iterations_total = 0;
   for (const std::size_t threads : {1u, 2u}) {
-    for (const bool pipeline : {false, true}) {
-      StreamingEstimatorOptions options = warm;
-      options.stem.sharded_sweeps = true;
-      options.stem.sharded.shards = 2;
-      options.stem.sharded.threads = threads;
-      options.pipeline = pipeline;
-      LogReplayStream stream(f.truth, f.obs);
-      StreamingEstimator estimator(init, 67, options);
-      runs.push_back(estimator.Run(stream));
-      iterations_total = estimator.Stats().fit_iterations_total;
-    }
+    StreamingEstimatorOptions options = warm;
+    options.stem.sharded_sweeps = true;
+    options.stem.sharded.shards = 2;
+    options.stem.sharded.threads = threads;
+    LogReplayStream stream(f.truth, f.obs);
+    StreamingEstimator estimator(init, 67, options);
+    runs.push_back(estimator.Run(stream));
+    iterations_total = estimator.Stats().fit_iterations_total;
   }
   for (std::size_t i = 1; i < runs.size(); ++i) {
     ExpectEstimatesIdentical(runs.front(), runs[i]);
@@ -834,14 +1022,11 @@ TEST(StreamingEstimator, MeanFieldOnlyModeIsSamplerFreeAndBitIdentical) {
 
   std::vector<std::vector<WindowEstimate>> runs;
   std::size_t degraded = 0;
-  for (const bool pipeline : {false, true}) {
-    for (const std::uint64_t seed : {71u, 73u}) {
-      options.pipeline = pipeline;
-      LogReplayStream stream(f.truth, f.obs);
-      StreamingEstimator estimator(init, seed, options);
-      runs.push_back(estimator.Run(stream));
-      degraded = estimator.Stats().degraded_windows;
-    }
+  for (const std::uint64_t seed : {71u, 73u}) {
+    LogReplayStream stream(f.truth, f.obs);
+    StreamingEstimator estimator(init, seed, options);
+    runs.push_back(estimator.Run(stream));
+    degraded = estimator.Stats().degraded_windows;
   }
   // Sampler-free: the seed is never consumed, so even DIFFERENT seeds are bit-identical.
   ASSERT_GE(runs.front().size(), 3u);
@@ -883,8 +1068,7 @@ TEST(StreamingEstimator, DegradeModeTriggersOnWindowTaskCount) {
   EXPECT_LT(degraded, estimates.size()) << "budget chosen so quiet windows still sample";
   EXPECT_EQ(estimator.Stats().degraded_windows, degraded);
 
-  // Deterministic: same stream, same options, same bits (with pipelining flipped).
-  options.pipeline = !options.pipeline;
+  // Deterministic: same stream, same options, same bits.
   LogReplayStream again_stream(f.truth, f.obs);
   StreamingEstimator again(init, 79, options);
   ExpectEstimatesIdentical(estimates, again.Run(again_stream));
@@ -965,7 +1149,6 @@ TEST(LiveSimStream, DrivesTheStreamingEstimator) {
   options.stem.iterations = 40;
   options.stem.burn_in = 15;
   options.stem.wait_sweeps = 0;
-  options.pipeline = true;
   StreamingEstimator estimator({1.0, 1.0}, 21, options);
   const auto estimates = estimator.Run(stream);
   ASSERT_GE(estimates.size(), 3u);
