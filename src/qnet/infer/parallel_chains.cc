@@ -1,7 +1,6 @@
 #include "qnet/infer/parallel_chains.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "qnet/infer/diagnostics.h"
 #include "qnet/infer/thread_pool.h"
@@ -10,14 +9,6 @@
 
 namespace qnet {
 namespace {
-
-std::size_t ResolveThreads(std::size_t requested, std::size_t chains) {
-  if (requested == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    requested = hw == 0 ? 1 : static_cast<std::size_t>(hw);
-  }
-  return std::max<std::size_t>(1, std::min(requested, chains));
-}
 
 // Derives one independent stream seed per chain from the master seed, in chain order —
 // the c-th chain's stream is a pure function of (seed, c).
@@ -45,14 +36,14 @@ ParallelChainsResult RunParallelChains(const EventLog& truth, const Observation&
              " burn_in=", options.burn_in);
   const Stopwatch total;
   const int num_queues = truth.NumQueues();
-  const std::size_t threads = ResolveThreads(options.threads, options.chains);
   const std::vector<std::uint64_t> chain_seeds = DeriveChainSeeds(seed, options.chains);
 
   ParallelChainsResult result(num_queues, options.tail_quantile);
   result.per_chain.assign(options.chains, PosteriorSummary(num_queues, options.tail_quantile));
   result.chain_stats.assign(options.chains, ChainStats{});
 
-  RunOnThreadPool(options.chains, threads, [&](std::size_t c) {
+  WorkerPool pool(std::min(ResolveThreadCount(options.threads), options.chains));
+  pool.Run(options.chains, [&](std::size_t c) {
     const Stopwatch chain_total;
     Rng chain_rng(chain_seeds[c]);
     // Independent random initializations diversify the chain starts (required for R-hat to
@@ -118,7 +109,8 @@ ParallelStemResult RunParallelStem(const EventLog& truth, const Observation& obs
   ParallelStemResult result;
   result.per_chain.assign(chains, StemResult{});
 
-  RunOnThreadPool(chains, ResolveThreads(threads, chains), [&](std::size_t c) {
+  WorkerPool pool(std::min(ResolveThreadCount(threads), chains));
+  pool.Run(chains, [&](std::size_t c) {
     Rng chain_rng(chain_seeds[c]);
     result.per_chain[c] =
         StemEstimator(stem_options).Run(truth, obs, init_rates, chain_rng);

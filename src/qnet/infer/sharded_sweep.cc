@@ -1,6 +1,7 @@
 #include "qnet/infer/sharded_sweep.h"
 
 #include <algorithm>
+#include <exception>
 
 #include "qnet/support/check.h"
 #include "qnet/telemetry/metrics.h"
@@ -9,23 +10,11 @@
 namespace qnet {
 
 ShardedSweepScheduler::ShardedSweepScheduler(const ShardedSweepOptions& options)
-    : shards_(std::max<std::size_t>(1, options.shards)) {
-  std::size_t threads = options.threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : static_cast<std::size_t>(hw);
-  }
-  threads_ = std::max<std::size_t>(1, std::min(threads, shards_));
-
+    : shards_(std::max<std::size_t>(1, options.shards)),
+      pool_(std::min(ResolveThreadCount(options.threads), shards_)) {
   bucket_offsets_.assign(1, 0);
-
-  if (threads_ > 1) {
-    class_barrier_.emplace(static_cast<std::ptrdiff_t>(threads_));
-    errors_.assign(threads_, nullptr);
-    workers_.reserve(threads_ - 1);
-    for (std::size_t t = 1; t < threads_; ++t) {
-      workers_.emplace_back([this, t] { WorkerLoop(t); });
-    }
+  if (pool_.NumThreads() > 1) {
+    class_barrier_.emplace(static_cast<std::ptrdiff_t>(pool_.NumThreads()));
   }
 }
 
@@ -62,19 +51,6 @@ void ShardedSweepScheduler::Rebuild(const EventLog& log, std::span<const SweepMo
   }
 }
 
-ShardedSweepScheduler::~ShardedSweepScheduler() {
-  if (!workers_.empty()) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& worker : workers_) {
-      worker.join();
-    }
-  }
-}
-
 std::span<const SweepMove> ShardedSweepScheduler::Bucket(std::size_t color,
                                                          std::size_t shard) const {
   QNET_CHECK(color < num_colors_ && shard < shards_, "bucket out of range: color=", color,
@@ -102,77 +78,34 @@ void ShardedSweepScheduler::RunBuckets(
     std::uint64_t sweep_seed) {
   SweepCounters::Get().sweeps->Increment();
   SweepCounters::Get().moves->Add(schedule_.size());
-  if (threads_ <= 1) {
-    // Sequential, allocation-free loop — no pool, no barrier.
-    for (std::size_t c = 0; c < num_colors_; ++c) {
-      ScopedSpan color_span(SpanStage::kSweepColor);
-      for (std::size_t s = 0; s < shards_; ++s) {
-        RunBucket(c, s, run_bucket, sweep_seed);
-      }
-    }
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    run_bucket_ = &run_bucket;
-    sweep_seed_ = sweep_seed;
-    std::fill(errors_.begin(), errors_.end(), std::exception_ptr());
-    inflight_workers_ = threads_ - 1;
-    ++generation_;
-  }
-  cv_.notify_all();
-  RunParticipant(0);
-  {
-    // Wait for every worker's check-in, not just the last class barrier: with zero color
-    // classes there is no barrier at all, and a worker that wakes after this sweep ends
-    // must never observe a retired run_bucket_ or a Rebuilt class count.
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return inflight_workers_ == 0; });
-    run_bucket_ = nullptr;
-  }
-  for (const std::exception_ptr& error : errors_) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
+  pool_.Run(pool_.NumThreads(),
+            [&](std::size_t t) { RunParticipant(t, run_bucket, sweep_seed); });
 }
 
-void ShardedSweepScheduler::RunParticipant(std::size_t t) {
+void ShardedSweepScheduler::RunParticipant(
+    std::size_t t, FunctionRef<void(std::span<const SweepMove>, std::uint64_t)> run_bucket,
+    std::uint64_t sweep_seed) {
+  const std::size_t threads = pool_.NumThreads();
+  std::exception_ptr error;
   for (std::size_t c = 0; c < num_colors_; ++c) {
-    if (!errors_[t]) {
+    if (!error) {
       try {
         // Per-participant share of the color class; the span ends before the class
         // barrier, so barrier wait shows up as the gap between color spans in a trace.
         ScopedSpan color_span(SpanStage::kSweepColor);
-        for (std::size_t s = t; s < shards_; s += threads_) {
-          RunBucket(c, s, *run_bucket_, sweep_seed_);
+        for (std::size_t s = t; s < shards_; s += threads) {
+          RunBucket(c, s, run_bucket, sweep_seed);
         }
       } catch (...) {
-        errors_[t] = std::current_exception();
+        error = std::current_exception();
       }
     }
-    class_barrier_->arrive_and_wait();
+    if (class_barrier_) {
+      class_barrier_->arrive_and_wait();
+    }
   }
-}
-
-void ShardedSweepScheduler::WorkerLoop(std::size_t t) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) {
-        return;
-      }
-      seen = generation_;
-    }
-    RunParticipant(t);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (--inflight_workers_ == 0) {
-        done_cv_.notify_one();
-      }
-    }
+  if (error) {
+    std::rethrow_exception(error);
   }
 }
 

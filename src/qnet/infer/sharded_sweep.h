@@ -6,11 +6,11 @@
 // executes each sweep as: color classes in sequence, and within a class the moves split
 // round-robin across S logical shards that run in parallel.
 //
-// Threading: workers are created once at construction and parked on a condition variable
-// between sweeps (a sweep is ~100 microseconds of work — spawning threads per sweep would
-// cost as much as the sweep itself). The caller participates as worker 0; a reusable
-// std::barrier separates color classes. With threads == 1 there are no workers at all and
-// Run is a plain sequential loop.
+// Threading: the scheduler owns a WorkerPool (infer/thread_pool.h) created once at
+// construction, whose workers park between sweeps (a sweep is ~100 microseconds of work —
+// spawning threads per sweep would cost as much as the sweep itself). The caller
+// participates as participant 0; a reusable std::barrier separates color classes. With
+// threads == 1 there are no workers and no barrier, and Run is a plain sequential loop.
 //
 // Determinism contract (mirrors the PR-1 multi-chain contract):
 //  * bucket (color c, shard s) of a sweep with seed w consumes its own xoshiro stream
@@ -35,16 +35,13 @@
 #define QNET_INFER_SHARDED_SWEEP_H_
 
 #include <barrier>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
+#include "qnet/infer/thread_pool.h"
 #include "qnet/model/conflict.h"
 #include "qnet/model/event.h"
 #include "qnet/support/function_ref.h"
@@ -63,14 +60,13 @@ struct ShardedSweepOptions {
 
 class ShardedSweepScheduler {
  public:
-  // Resolves shard/thread counts and launches the worker pool; the schedule is empty
+  // Resolves shard/thread counts and starts the worker pool; the schedule is empty
   // until Rebuild. Constructing once and Rebuilding per trace is how long-lived callers
   // (streaming windows) amortize both the thread launch and the schedule buffers.
   explicit ShardedSweepScheduler(const ShardedSweepOptions& options = {});
   // Convenience: construct and build the schedule in one step.
   ShardedSweepScheduler(const EventLog& log, std::span<const SweepMove> moves,
                         const ShardedSweepOptions& options = {});
-  ~ShardedSweepScheduler();
 
   ShardedSweepScheduler(const ShardedSweepScheduler&) = delete;
   ShardedSweepScheduler& operator=(const ShardedSweepScheduler&) = delete;
@@ -97,7 +93,7 @@ class ShardedSweepScheduler {
   std::size_t NumMoves() const { return schedule_.size(); }
   std::size_t NumColors() const { return num_colors_; }
   std::size_t NumShards() const { return shards_; }
-  std::size_t NumThreads() const { return threads_; }
+  std::size_t NumThreads() const { return pool_.NumThreads(); }
 
   // Moves of bucket (color, shard) in execution order — diagnostics and tests.
   std::span<const SweepMove> Bucket(std::size_t color, std::size_t shard) const;
@@ -107,13 +103,14 @@ class ShardedSweepScheduler {
                  FunctionRef<void(std::span<const SweepMove>, std::uint64_t)> run_bucket,
                  std::uint64_t sweep_seed) const;
   // One sweep's worth of work for participant t: its shards of every color class, with
-  // the class barrier after each. Exceptions are parked in errors_[t] and the thread
-  // keeps arriving at the remaining barriers so the other participants never deadlock.
-  void RunParticipant(std::size_t t);
-  void WorkerLoop(std::size_t t);
+  // the class barrier after each. A participant whose bucket throws skips its remaining
+  // buckets but keeps arriving at the barriers, so the others never deadlock; it
+  // rethrows once the sweep is over and the pool surfaces the first error by participant.
+  void RunParticipant(std::size_t t,
+                      FunctionRef<void(std::span<const SweepMove>, std::uint64_t)> run_bucket,
+                      std::uint64_t sweep_seed);
 
   std::size_t shards_;
-  std::size_t threads_;
   std::size_t num_colors_ = 0;
   std::vector<SweepMove> schedule_;          // moves grouped by (color, shard)
   std::vector<std::size_t> bucket_offsets_;  // num_colors_ * shards_ + 1 entries
@@ -125,25 +122,11 @@ class ShardedSweepScheduler {
   std::vector<std::size_t> bucket_of_;
   std::vector<std::size_t> cursor_;
 
-  // Persistent pool (threads_ > 1 only). RunBuckets publishes {run_bucket_, sweep_seed_}
-  // and bumps generation_ under mu_; parked workers wake, run RunParticipant, and park
-  // again. The caller runs RunParticipant(0) itself, then blocks on done_cv_ until every
-  // worker has checked back in. The explicit check-in (rather than the final class
-  // barrier) is load-bearing: a schedule can have zero color classes, and Rebuild may
-  // change the class count between sweeps, so the caller must not return — and the next
-  // Rebuild/RunBuckets must not start — while a late-waking worker could still read this
-  // generation's {run_bucket_, num_colors_}.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  std::size_t inflight_workers_ = 0;
-  bool stop_ = false;
-  const FunctionRef<void(std::span<const SweepMove>, std::uint64_t)>* run_bucket_ = nullptr;
-  std::uint64_t sweep_seed_ = 0;
+  // Class barrier over the pool's participants (threads > 1 only). The pool's check-in,
+  // not the last class barrier, ends a sweep: a schedule can have zero color classes, and
+  // Rebuild may change the class count before a late worker has read it.
   std::optional<std::barrier<>> class_barrier_;
-  std::vector<std::exception_ptr> errors_;
-  std::vector<std::thread> workers_;
+  WorkerPool pool_;
 };
 
 }  // namespace qnet

@@ -1,113 +1,71 @@
-// Fork-join helper shared by the sampling engines.
+// The library's one thread model: a persistent fork-join pool.
 //
-// The static item -> thread partition (item i runs on thread i mod T) makes the work
-// assignment — and therefore any per-item RNG stream consumption — a pure function of
-// (items, threads), never of scheduling. Worker exceptions are captured per thread and
-// the first (by thread index) is rethrown after join, so a QNET_CHECK failure inside a
-// worker surfaces to the caller instead of terminating the process.
+// A WorkerPool holds T - 1 workers parked on a condition variable between calls; the
+// caller is participant 0. Run(items, work) runs work(i) on participant i mod T — a static
+// partition, so the work assignment (and any per-item RNG stream consumption) is a pure
+// function of (items, T), never of scheduling. Run returns only after every worker has
+// checked back in, so a caller may rebuild whatever the call read as soon as it returns.
+// A participant stops at its first exception, and the first one by participant index is
+// rethrown, so a QNET_CHECK failure inside a worker surfaces to the caller. Run allocates
+// nothing after construction; with T == 1 it is a plain loop on the caller.
 //
-// This spawn-per-call helper fits coarse work units (a whole chain per item, as in
-// parallel_chains). For fine-grained repeated dispatch — e.g. one sweep per call, many
-// thousands of calls — use a persistent pool instead (see ShardedSweepScheduler, which
-// parks its workers on a condition variable between sweeps).
+// Each parallel component owns its own pool — the sharded-sweep scheduler and the
+// scenario engine for their lifetime, parallel chains and the fleet's Run() per call —
+// and there is no process-wide pool, so nested parallelism (a lane or a chain driving a
+// sharded sweep) never waits on a pool it is running on.
 
 #ifndef QNET_INFER_THREAD_POOL_H_
 #define QNET_INFER_THREAD_POOL_H_
 
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "qnet/support/check.h"
+#include "qnet/support/function_ref.h"
 
 namespace qnet {
 
-// Runs work(i) for every i in [0, items) on a static round-robin partition over T
-// threads. threads <= 1 degenerates to a plain sequential loop on the calling thread.
-template <typename Work>
-void RunOnThreadPool(std::size_t items, std::size_t threads, const Work& work) {
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < items; ++i) {
-      work(i);
-    }
-    return;
-  }
-  std::vector<std::exception_ptr> errors(threads);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      try {
-        for (std::size_t i = t; i < items; i += threads) {
-          work(i);
-        }
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& thread : pool) {
-    thread.join();
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
-}
+// Resolves a thread-count option: 0 means the hardware concurrency (at least 1); any
+// other value is returned unchanged.
+std::size_t ResolveThreadCount(std::size_t requested);
 
-// Runs a single coarse work unit on a background thread while the caller keeps
-// producing. Its one use is the sharded streaming fleet's lane threads
-// (shard/sharded_streaming.cc): each lane's whole RunLoop is one work unit, so a fleet
-// spawns K threads per Run(), never one per window. Exceptions thrown by the work unit
-// are rethrown from Wait(); a slot destroyed while busy joins first and swallows the
-// exception (call Wait() before destruction to observe it).
-class PipelineSlot {
+class WorkerPool {
  public:
-  PipelineSlot() = default;
-  ~PipelineSlot() {
-    if (worker_.joinable()) {
-      worker_.join();
-    }
-  }
+  // `threads` participants (clamped to at least 1), i.e. threads - 1 parked workers.
+  explicit WorkerPool(std::size_t threads);
+  ~WorkerPool();
 
-  PipelineSlot(const PipelineSlot&) = delete;
-  PipelineSlot& operator=(const PipelineSlot&) = delete;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
-  bool Busy() const { return worker_.joinable(); }
+  std::size_t NumThreads() const { return workers_.size() + 1; }
 
-  // Starts `work` on the background thread. The slot must be idle (Wait() first).
-  template <typename Work>
-  void Submit(Work&& work) {
-    QNET_CHECK(!Busy(), "PipelineSlot::Submit while busy; call Wait() first");
-    error_ = nullptr;
-    worker_ = std::thread([this, w = std::forward<Work>(work)]() mutable {
-      try {
-        w();
-      } catch (...) {
-        error_ = std::current_exception();
-      }
-    });
-  }
-
-  // Blocks until the in-flight work unit (if any) finishes; rethrows its exception.
-  void Wait() {
-    if (!worker_.joinable()) {
-      return;
-    }
-    worker_.join();
-    worker_ = std::thread();
-    if (error_ != nullptr) {
-      std::exception_ptr error = std::exchange(error_, nullptr);
-      std::rethrow_exception(error);
-    }
-  }
+  // Runs work(i) for every i in [0, items), item i on participant i mod NumThreads().
+  // One caller at a time; `work` must not call Run on this pool.
+  void Run(std::size_t items, FunctionRef<void(std::size_t)> work);
 
  private:
-  std::thread worker_;
-  std::exception_ptr error_;
+  // Participant t's share of the current call; its first exception parks in errors_[t].
+  void RunShare(std::size_t t);
+  void WorkerLoop(std::size_t t);
+
+  // Run publishes {work_, items_} and bumps generation_ under mu_; parked workers wake,
+  // run their share, and decrement inflight_workers_; the caller waits on done_cv_ for
+  // it to reach zero before returning.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::condition_variable done_cv_;
+  std::uint64_t generation_ = 0;
+  std::size_t inflight_workers_ = 0;
+  bool stop_ = false;
+  const FunctionRef<void(std::size_t)>* work_ = nullptr;
+  std::size_t items_ = 0;
+  std::vector<std::exception_ptr> errors_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace qnet

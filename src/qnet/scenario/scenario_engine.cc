@@ -8,7 +8,6 @@
 #include "qnet/dist/exponential.h"
 #include "qnet/infer/mg1.h"
 #include "qnet/infer/mm1.h"
-#include "qnet/infer/thread_pool.h"
 #include "qnet/model/event.h"
 #include "qnet/model/traffic.h"
 #include "qnet/sim/sim_scratch.h"
@@ -289,7 +288,8 @@ AnalyticPrediction AnalyzeCellAnalytic(const QueueingNetwork& net,
   return prediction;
 }
 
-ScenarioEngine::ScenarioEngine(ScenarioEngineOptions options) : options_(options) {
+ScenarioEngine::ScenarioEngine(ScenarioEngineOptions options)
+    : options_(options), pool_(options.threads) {
   QNET_CHECK(options_.max_draws >= 1, "max_draws must be positive");
   QNET_CHECK(options_.tasks_per_draw >= 2, "tasks_per_draw must be at least 2");
   QNET_CHECK(options_.warmup_fraction >= 0.0 && options_.warmup_fraction < 1.0,
@@ -343,16 +343,16 @@ ScenarioReport ScenarioEngine::Evaluate(const QueueingNetwork& base,
     analytic_ctx.mean_rates = posterior.MeanRates();
   }
 
-  // One persistent workspace per worker; the static RunOnThreadPool partition maps
-  // cell i to worker i % threads, so each workspace is touched by exactly one thread.
-  const std::size_t num_workers = std::max<std::size_t>(1, options_.threads);
+  // One persistent workspace per participant; the static WorkerPool partition maps cell
+  // i to participant i % threads, so each workspace is touched by exactly one thread.
+  const std::size_t num_workers = pool_.NumThreads();
   while (workspaces_.size() < num_workers) {
     workspaces_.push_back(std::make_unique<ScenarioCellWorkspace>());
   }
 
   // Static cell -> thread sharding; each cell writes only its own slot, so the report is
   // bit-identical for any thread count.
-  RunOnThreadPool(grid.NumCells(), options_.threads, [&](std::size_t i) {
+  pool_.Run(grid.NumCells(), [&](std::size_t i) {
     EvaluateCellInto(base, posterior, grid, i, seed, report.draws, options_,
                      options_.analytic ? &analytic_ctx : nullptr,
                      *workspaces_[i % num_workers], report.cells[i]);

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "qnet/infer/thread_pool.h"
 #include "qnet/model/network.h"
 #include "qnet/scenario/parameter_posterior.h"
 #include "qnet/scenario/scenario_spec.h"
@@ -110,7 +111,7 @@ struct ScenarioEngineOptions {
   double band_hi = 0.95;
   // Per-draw end-to-end latency tail quantile reported as tail_response.
   double tail_quantile = 0.95;
-  // Worker threads sharding cells; results are bit-identical for every value.
+  // Cell threads, started once per engine; results are bit-identical for every value.
   std::size_t threads = 1;
   // Attach the analytic steady-state cross-check to each cell.
   bool analytic = true;
@@ -162,9 +163,10 @@ class ScenarioEngine {
  private:
   ScenarioEngineOptions options_;
   Stats stats_;
-  // One workspace per worker thread, indexed by (cell index % threads) — the static
-  // RunOnThreadPool partition guarantees exclusive ownership per worker.
+  // One workspace per pool participant, indexed by (cell index % threads) — the static
+  // WorkerPool partition guarantees exclusive ownership per participant.
   std::vector<std::unique_ptr<ScenarioCellWorkspace>> workspaces_;
+  WorkerPool pool_;  // parked across Evaluate calls
 };
 
 }  // namespace qnet

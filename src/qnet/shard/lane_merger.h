@@ -81,7 +81,7 @@ class LaneMerger {
   bool Pop(WindowEstimate& out, bool block);
 
   // A lane died: wake any blocked Pop so the fleet can unwind (the lane's exception is
-  // surfaced by its PipelineSlot).
+  // rethrown by the fleet's WorkerPool once every participant is back).
   void Abort();
   bool Aborted() const;
 

@@ -20,8 +20,8 @@
 namespace qnet {
 namespace {
 
-// One lane: bounded ingest queue + record buffer + per-window log build + the window
-// fit step (WindowFitter). RunLoop consumes the queue until the finish token;
+// One lane: bounded ingest queue + record buffer + a reusable per-window log builder +
+// the window fit step (WindowFitter). RunLoop consumes the queue until the finish token;
 // everything the worker does is a pure function of its item sequence, which the router
 // makes a pure function of the stream.
 class LaneWorker {
@@ -29,10 +29,10 @@ class LaneWorker {
   LaneWorker(std::size_t lane, int num_queues, const ShardedStreamingOptions& options,
              std::vector<double> init_rates, std::uint64_t seed, LaneMerger* merger)
       : lane_(lane),
-        num_queues_(num_queues),
         options_(options),
         merger_(merger),
         queue_(options.lane_queue_capacity),
+        builder_(num_queues),
         fitter_(options.stream, std::move(init_rates), seed, /*salted=*/options.lanes > 1,
                 /*lane=*/lane) {}
 
@@ -77,7 +77,7 @@ class LaneWorker {
       // them fleet-wide from the tracker.
     } catch (...) {
       // Unblock the router and wake the merger before surfacing the error through the
-      // PipelineSlot (Run rethrows it from Wait()).
+      // pool (Run rethrows it once every participant is back).
       queue_.CloseConsumer();
       merger_->Abort();
       throw;
@@ -98,11 +98,10 @@ class LaneWorker {
     if (records.empty()) {
       ++stats_.empty_windows;
     } else {
-      WindowLogBuilder builder(num_queues_);
       for (const TaskRecord& record : records) {
-        builder.Add(record);
+        builder_.Add(record);
       }
-      auto [log, obs] = builder.Finish();
+      auto [log, obs] = builder_.Finish();
       // The sub-log's per-queue counts feed the merger's bias correction (lambda_q is
       // reconstructed from the summed counts — exact, fit or no fit).
       fit.queue_counts = log.PerQueueCount();
@@ -135,10 +134,10 @@ class LaneWorker {
   }
 
   const std::size_t lane_;
-  const int num_queues_;
   const ShardedStreamingOptions& options_;
   LaneMerger* merger_;
   LaneQueue queue_;
+  WindowLogBuilder builder_;
   WindowFitter fitter_;
   std::vector<TaskRecord> buffer_;
   std::vector<TaskRecord> last_window_;
@@ -175,11 +174,6 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     workers.push_back(std::make_unique<LaneWorker>(lane, stream.NumQueues(), options_,
                                                    init_rates_, seed_, &merger));
   }
-  std::vector<PipelineSlot> slots(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    slots[lane].Submit([worker = workers[lane].get()] { worker->RunLoop(); });
-  }
-
   std::vector<double> max_watermark_lag(lanes, 0.0);
   std::vector<WindowEstimate> estimates;
 
@@ -235,52 +229,59 @@ std::vector<WindowEstimate> ShardedStreamingEstimator::Run(TraceStream& stream) 
     }
   };
 
-  TaskRecord record;
-  try {
-    while (stream.Next(record)) {
-      // The tracker counts ingestion and late drops (and mirrors them to the registry);
-      // the fleet stats read them back from the tracker after the run.
-      const WindowSpanTracker::PushVerdict verdict = tracker.Push(record.entry_time);
-      if (verdict == WindowSpanTracker::PushVerdict::kLateDropped) {
-        continue;
-      }
-      const std::size_t lane = router.Route(record);
-      RouterBatch& batch = batches[lane];
-      LaneItem& slot = batch.items[batch.count++];
-      slot.kind = LaneItem::Kind::kRecord;
-      slot.record = record;
-      if (batch.count == batch_size) {
-        flush_lane(lane);
-      }
-      broadcast_decisions();
-      WindowEstimate pooled;
-      while (merger.Pop(pooled, /*block=*/false)) {
-        EmitWindow(std::move(pooled), estimates, stats_, options_.stream.on_window);
-      }
-      if (merger.Aborted()) {
-        break;
-      }
+  // The router is participant 0 (this thread), lane l is participant l + 1. Run joins
+  // every lane and rethrows the first failure by participant: a router error first,
+  // else the lowest failed lane's.
+  WorkerPool pool(lanes + 1);
+  pool.Run(lanes + 1, [&](std::size_t participant) {
+    if (participant > 0) {
+      workers[participant - 1]->RunLoop();
+      return;
     }
-    if (!merger.Aborted()) {
-      tracker.Finish();
-      broadcast_decisions();
-      stats_.tail_dropped = tracker.TailDropped();
+    TaskRecord record;
+    try {
+      while (stream.Next(record)) {
+        // The tracker counts ingestion and late drops (and mirrors them to the
+        // registry); the fleet stats read them back from the tracker after the run.
+        const WindowSpanTracker::PushVerdict verdict = tracker.Push(record.entry_time);
+        if (verdict == WindowSpanTracker::PushVerdict::kLateDropped) {
+          continue;
+        }
+        const std::size_t lane = router.Route(record);
+        RouterBatch& batch = batches[lane];
+        LaneItem& slot = batch.items[batch.count++];
+        slot.kind = LaneItem::Kind::kRecord;
+        slot.record = record;
+        if (batch.count == batch_size) {
+          flush_lane(lane);
+        }
+        broadcast_decisions();
+        WindowEstimate pooled;
+        while (merger.Pop(pooled, /*block=*/false)) {
+          EmitWindow(std::move(pooled), estimates, stats_, options_.stream.on_window);
+        }
+        if (merger.Aborted()) {
+          break;
+        }
+      }
+      if (!merger.Aborted()) {
+        tracker.Finish();
+        broadcast_decisions();
+        stats_.tail_dropped = tracker.TailDropped();
+      }
+    } catch (...) {
+      // Stream or bookkeeping failure on the router: release the lanes so the pool can
+      // join them, then surface the original error.
+      broadcast_finish();
+      throw;
     }
-  } catch (...) {
-    // Stream or bookkeeping failure on the router thread: release the lanes so the
-    // slots' destructors can join, then surface the original error.
-    broadcast_finish();
-    throw;
-  }
 
-  broadcast_finish();
-  WindowEstimate pooled;
-  while (merger.Pop(pooled, /*block=*/true)) {
-    EmitWindow(std::move(pooled), estimates, stats_, options_.stream.on_window);
-  }
-  for (PipelineSlot& slot : slots) {
-    slot.Wait();  // rethrows the first lane failure
-  }
+    broadcast_finish();
+    WindowEstimate pooled;
+    while (merger.Pop(pooled, /*block=*/true)) {
+      EmitWindow(std::move(pooled), estimates, stats_, options_.stream.on_window);
+    }
+  });
 
   stats_.lanes = lanes;
   stats_.tasks_ingested = tracker.TasksPushed();

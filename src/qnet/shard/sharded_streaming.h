@@ -4,9 +4,12 @@
 // One ingest (router) thread pulls TaskRecords from any TraceStream and hash-partitions
 // them across K lanes (LaneRouter over support/task_hash.h). Each lane is an independent
 // worker — bounded ingest queue, per-window log assembly, and the plain
-// StreamingEstimator's window fit step (stream/window_fitter.h) — running on its own
-// PipelineSlot thread (infer/thread_pool.h). A LaneMerger pools the K
-// per-window fits into one WindowEstimate per global window.
+// StreamingEstimator's window fit step (stream/window_fitter.h). Run() is one WorkerPool
+// call (infer/thread_pool.h): the router is participant 0 on the caller's thread, lane l
+// is participant l + 1. A failing participant unblocks the others (the router broadcasts
+// the finish token; a lane closes its queue's consumer side and aborts the merger), so
+// Run() always joins and rethrows the first failure by participant. A LaneMerger pools
+// the K per-window fits into one WindowEstimate per global window.
 //
 // Window coordination: the router runs the WindowSpanTracker (the exact decision core of
 // WindowAssembler) over the GLOBAL entry-time sequence, so window spans, counts, and

@@ -22,11 +22,12 @@ constexpr StageInfo kStageInfo[kNumSpanStages] = {
     {"sweep_color", 2},     {"sweep_bucket", 2}, {"sweep_tile", 3},
 };
 
-// One ring per registered thread. Rings are heap blocks owned by a process-wide table
-// so CollectSpans can walk them after worker threads exit; a thread registers once
-// (its only telemetry allocation) and keeps a raw pointer in a thread_local.
+// Rings are heap blocks owned by a process-wide table, so CollectSpans can walk them
+// after their threads exit. A thread takes a ring on its first span (from the free list,
+// else a new one — its only telemetry allocation), and its thread_local owner returns the
+// ring, spans intact, to the free list when the thread exits.
 struct SpanRing {
-  int tid = 0;
+  int tid = 0;  // ring slot, reported as ThreadSpans::tid
   std::atomic<std::uint64_t> head{0};  // monotonically increasing write index
   SpanRecord records[Timeline::kRingCapacity];
 };
@@ -34,6 +35,7 @@ struct SpanRing {
 struct RingTable {
   std::mutex mu;
   std::vector<std::unique_ptr<SpanRing>> rings;
+  std::vector<SpanRing*> free;
 };
 
 RingTable& Rings() {
@@ -41,9 +43,14 @@ RingTable& Rings() {
   return *table;
 }
 
-SpanRing* RegisterThreadRing() {
+SpanRing* AcquireRing() {
   RingTable& table = Rings();
   std::lock_guard<std::mutex> lock(table.mu);
+  if (!table.free.empty()) {
+    SpanRing* ring = table.free.back();
+    table.free.pop_back();
+    return ring;
+  }
   auto ring = std::make_unique<SpanRing>();
   ring->tid = static_cast<int>(table.rings.size());
   SpanRing* raw = ring.get();
@@ -51,9 +58,18 @@ SpanRing* RegisterThreadRing() {
   return raw;
 }
 
+struct ThreadRingOwner {
+  SpanRing* ring = AcquireRing();
+  ~ThreadRingOwner() {
+    RingTable& table = Rings();
+    std::lock_guard<std::mutex> lock(table.mu);
+    table.free.push_back(ring);
+  }
+};
+
 SpanRing* ThreadRing() {
-  thread_local SpanRing* ring = RegisterThreadRing();
-  return ring;
+  thread_local ThreadRingOwner owner;
+  return owner.ring;
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Scoped span tracing into per-thread fixed-capacity ring buffers.
 //
 // A span is one timed interval of a named pipeline stage on one thread. Spans are
-// captured by ScopedSpan (RAII) into a thread-local SpanRing — a fixed-capacity ring
-// that overwrites its oldest entries, so capture is allocation-free and unbounded runs
-// keep the most recent history. Every span also feeds a per-stage latency Histogram in
-// the global MetricRegistry ("qnet_stage_<name>_ns"), which is what the stage-latency
-// tables and Prometheus exposition read.
+// captured by ScopedSpan (RAII) into the calling thread's SpanRing — a fixed-capacity
+// ring that overwrites its oldest entries, so capture is allocation-free and unbounded
+// runs keep the most recent history. A thread returns its ring to a free list when it
+// exits, so ring memory is bounded by the peak number of live recording threads. Every
+// span also feeds a per-stage latency Histogram in the global MetricRegistry
+// ("qnet_stage_<name>_ns"), which is what the stage-latency tables and Prometheus
+// exposition read.
 //
 // Stage taxonomy and detail levels (Timeline::SetLevel, default 1):
 //   level 1 — pipeline lifecycle: window assemble, StEM fit, mean-field fit, lane merge,
@@ -71,7 +73,7 @@ struct SpanRecord {
 
 class Timeline {
  public:
-  // Spans per thread-local ring. Power of two so the wrap is a mask.
+  // Spans per ring. Power of two so the wrap is a mask.
   static constexpr std::size_t kRingCapacity = 4096;
 
   // Runtime detail gate; 0 disables all span capture. Thread-safe (relaxed).
@@ -87,13 +89,14 @@ class Timeline {
 #endif
   }
 
-  // Appends to the calling thread's ring (registering the ring on first use —
-  // the one-time setup allocation happens then, never on later captures).
+  // Appends to the calling thread's ring (taking one on first use — from the free list,
+  // or a one-time setup allocation — never on later captures).
   static void RecordSpan(SpanStage stage, std::uint64_t start_nanos,
                          std::uint64_t end_nanos);
 
-  // Snapshot of every thread's ring, oldest-first per thread. `tid` is a dense
-  // telemetry-local thread index (registration order), not an OS id.
+  // Snapshot of every ring that holds spans, oldest-first per ring. `tid` is a ring slot
+  // (dense, in allocation order), not an OS thread: one slot can hold the spans of
+  // several threads that lived one after another.
   struct ThreadSpans {
     int tid = 0;
     std::vector<SpanRecord> spans;

@@ -149,6 +149,8 @@ EventLog ReadEventLog(std::istream& is, int num_queues) {
     }
   }
   log.BuildQueueLinks();
+  std::string why;
+  QNET_CHECK(log.IsFeasible(/*tol=*/1e-9, &why), "infeasible event log: ", why);
   return log;
 }
 

@@ -25,7 +25,9 @@ void WriteEventLog(std::ostream& os, const EventLog& log);
 void WriteEventLogFile(const std::string& path, const EventLog& log);
 
 // Reads a log written by WriteEventLog, taking the network size from the `# queues=N`
-// header (CHECK-fails on headerless legacy files).
+// header (CHECK-fails on headerless legacy files). A log that fails
+// EventLog::IsFeasible (broken task continuity, negative service, FIFO or arrival order
+// violated) is rejected with an Error that carries IsFeasible's reason.
 EventLog ReadEventLog(std::istream& is);
 EventLog ReadEventLogFile(const std::string& path);
 // Back-compat overloads for headerless files: num_queues supplies the network size (and

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -22,10 +23,12 @@
 #include "qnet/scenario/parameter_posterior.h"
 #include "qnet/scenario/scenario_spec.h"
 #include "qnet/sim/simulator.h"
+#include "qnet/stream/live_stream.h"
 #include "qnet/stream/replay_stream.h"
 #include "qnet/support/check.h"
 #include "qnet/support/math.h"
 #include "qnet/support/rng.h"
+#include "qnet/telemetry/timeline.h"
 #include "qnet/trace/scenario_report.h"
 
 namespace qnet {
@@ -689,6 +692,104 @@ TEST(ScenarioEngine, GuardsOptionAndShapeMisuse) {
   EXPECT_THROW(engine.Evaluate(base, ParameterPosterior::FromPoint({2.0, 5.0}),
                                ScenarioGrid({ServiceAxis(5, {1.0})}), 1),
                Error);
+}
+
+// --- Soak: a long-lived engine keeps memory flat --------------------------------------
+//
+// A monitor evaluates the grid on every window for as long as it runs. At trace level 2
+// every participant records spans, so an engine that started threads per call would take
+// a fresh ~96 KB span ring per thread per call; the persistent pool plus the ring free
+// list keep both ring count and RSS flat in calls and windows. Sanitizer allocators hold
+// freed memory in quarantine, so RSS is asserted only in plain builds.
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kRssIsMeaningful = false;
+#else
+constexpr bool kRssIsMeaningful = true;
+#endif
+
+constexpr double kRssGrowthBoundMb = 8.0;
+
+double ResidentSetMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;  // reported in kB
+    }
+  }
+  return 0.0;
+}
+
+// Rings holding spans; this thread records one first, so its own ring is counted.
+std::size_t RingsInUse() {
+  { ScopedSpan span(SpanStage::kEmit); }
+  return Timeline::CollectSpans().size();
+}
+
+struct SoakTraceLevel {
+  int saved = Timeline::Level();
+  SoakTraceLevel() { Timeline::SetLevel(2); }
+  ~SoakTraceLevel() { Timeline::SetLevel(saved); }
+};
+
+TEST(Soak, FiveThousandEvaluateCallsOnTwoThreadsKeepRingsAndRssFlat) {
+  const SoakTraceLevel level;
+  const QueueingNetwork base = MakeSingleQueueNetwork(2.0, 5.0);
+  const ParameterPosterior posterior = ParameterPosterior::FromPoint({2.0, 5.0});
+  const ScenarioGrid grid({LoadAxis({1.0, 1.5})});  // one cell per participant
+  ScenarioEngineOptions options;
+  options.max_draws = 1;
+  options.tasks_per_draw = 32;
+  options.threads = 2;
+  const std::size_t rings_before = RingsInUse();
+  const double rss_before = ResidentSetMb();
+  {
+    ScenarioEngine engine(options);
+    for (std::uint64_t call = 0; call < 5000; ++call) {
+      const ScenarioReport report = engine.Evaluate(base, posterior, grid, call);
+      ASSERT_EQ(report.cells.size(), 2u);
+    }
+  }
+  const double rss_growth = ResidentSetMb() - rss_before;
+  EXPECT_LE(RingsInUse(), rings_before + /*pool workers=*/1);
+  if (kRssIsMeaningful) {
+    EXPECT_LT(rss_growth, kRssGrowthBoundMb) << "RSS grew " << rss_growth << " MB";
+  }
+}
+
+TEST(Soak, FiveThousandWindowStreamWithATwoThreadForecasterKeepsRingsAndRssFlat) {
+  const SoakTraceLevel level;
+  const QueueingNetwork net = MakeSingleQueueNetwork(10.0, 25.0);
+  LiveSimOptions sim;
+  sim.arrival_rate = 10.0;
+  sim.horizon = 5100.0 * 2.0;
+  sim.observed_fraction = 0.5;
+  LiveSimStream stream(net, sim, /*seed=*/31);
+  ScenarioEngineOptions forecast_options;
+  forecast_options.max_draws = 1;
+  forecast_options.tasks_per_draw = 32;
+  forecast_options.threads = 2;
+  StreamingEstimatorOptions options;
+  options.window.window_duration = 2.0;  // ~20 tasks per window
+  options.fast_path = FastPathMode::kMeanFieldOnly;
+  const std::size_t rings_before = RingsInUse();
+  const double rss_before = ResidentSetMb();
+  std::size_t windows = 0;
+  {
+    WindowForecaster forecaster(net, ScenarioGrid({LoadAxis({1.0, 1.5})}), forecast_options,
+                                /*seed=*/3);
+    options.on_window = forecaster.Hook();
+    StreamingEstimator estimator({10.0, 25.0}, /*seed=*/7, options);
+    windows = estimator.Run(stream).size();
+    EXPECT_EQ(forecaster.Reports().size(), windows);
+  }
+  const double rss_growth = ResidentSetMb() - rss_before;
+  EXPECT_GE(windows, 5000u);
+  EXPECT_LE(RingsInUse(), rings_before + /*pool workers=*/1);
+  if (kRssIsMeaningful) {
+    EXPECT_LT(rss_growth, kRssGrowthBoundMb) << "RSS grew " << rss_growth << " MB";
+  }
 }
 
 }  // namespace

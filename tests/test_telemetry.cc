@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,6 +235,20 @@ TEST(Timeline, RingKeepsTheMostRecentSpansOnWrap) {
   EXPECT_EQ(captured, Timeline::kRingCapacity);
   EXPECT_EQ(newest, static_cast<std::uint64_t>(total - 1));
   Timeline::ClearSpans();
+}
+
+TEST(Timeline, ExitedThreadsHandTheirRingToTheNextThread) {
+  // Ring memory is bounded by the peak number of live recording threads, not by how many
+  // threads ever recorded: 256 threads started and joined one after another share one
+  // ring slot.
+  TraceLevelGuard guard;
+  Timeline::SetLevel(1);
+  const std::size_t before = Timeline::CollectSpans().size();
+  for (int i = 0; i < 256; ++i) {
+    std::thread thread([] { ScopedSpan span(SpanStage::kEmit); });
+    thread.join();
+  }
+  EXPECT_LE(Timeline::CollectSpans().size(), before + 1);
 }
 
 TEST(Timeline, ScopedSpanCapturesAndExportsAsChromeTrace) {

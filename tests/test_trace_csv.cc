@@ -2,7 +2,9 @@
 
 #include "qnet/trace/csv.h"
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +116,64 @@ TEST(Csv, RejectsCorruptStreams) {
   std::stringstream junk_number(
       "# queues=2\ntask,state,queue,arrival,departure,initial\n0,-1,0,0,oops,1\n");
   EXPECT_THROW(ReadEventLog(junk_number), Error);
+}
+
+TEST(Csv, RejectsPhysicallyImpossibleLogsWithTheFeasibilityReason) {
+  // Well-formed rows, impossible physics: task 1 would leave the FIFO queue before task 0
+  // (service starts at 5, when task 0 departs, but task 1 departs at 3).
+  std::stringstream overtaking(
+      "# queues=2\ntask,state,queue,arrival,departure,initial\n"
+      "0,-1,0,0,1,1\n0,0,1,1,5,0\n1,-1,0,0,2,1\n1,0,1,2,3,0\n");
+  try {
+    ReadEventLog(overtaking);
+    FAIL() << "an infeasible log was accepted";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("infeasible event log: negative service time"),
+              std::string::npos)
+        << error.what();
+  }
+  // Task continuity: a visit must arrive when its predecessor departs.
+  std::stringstream broken_continuity(
+      "# queues=2\ntask,state,queue,arrival,departure,initial\n"
+      "0,-1,0,0,1.5,1\n0,0,1,1.7,2.0,0\n");
+  EXPECT_THROW(ReadEventLog(broken_continuity), Error);
+}
+
+TEST(Csv, ByteMutationsNeverCrashAndNeverYieldAnInfeasibleLog) {
+  // Seeded mutation corpus over a valid log: every single-byte mutation either raises
+  // qnet::Error or parses to a feasible log. Any other exception fails the test.
+  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0});
+  Rng rng(29);
+  const EventLog log = SimulateWorkload(net, PoissonArrivals(2.0, 24), rng);
+  std::ostringstream written;
+  WriteEventLog(written, log);
+  const std::string valid = written.str();
+  static constexpr char kAlphabet[] = "0123456789.,-+eE\n #";
+  constexpr int kMutations = 20000;
+  int accepted = 0;
+  int rejected = 0;
+  int infeasible_accepted = 0;
+  std::string mutated;
+  for (int i = 0; i < kMutations; ++i) {
+    mutated = valid;
+    const std::uint64_t at = rng.NextU64() % mutated.size();
+    const std::uint64_t pick = rng.NextU64();
+    // Mostly CSV-shaped bytes (digits, separators, exponents), sometimes any byte.
+    mutated[at] = pick % 4 == 0 ? static_cast<char>(pick >> 8)
+                                : kAlphabet[(pick >> 8) % (sizeof(kAlphabet) - 1)];
+    std::istringstream is(mutated);
+    try {
+      const EventLog parsed = ReadEventLog(is);
+      ++accepted;
+      infeasible_accepted += parsed.IsFeasible() ? 0 : 1;
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(infeasible_accepted, 0) << "of " << accepted << " accepted mutations";
+  EXPECT_EQ(accepted + rejected, kMutations);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Csv, ObservationRejectsMalformedFlags) {
