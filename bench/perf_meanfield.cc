@@ -10,7 +10,9 @@
 //                                          sampler-free speedup the degraded mode and
 //                                          warm starts are built on).
 //   BM_WindowedStemFit items_per_second  — the same window through a bench-sized StEM
-//                                          run (the denominator of the 50x gate).
+//                                          run (the denominator of the 50x gate);
+//                                          allocs_per_fit counts the fit's setup and
+//                                          result allocations (CI bounds it).
 //   BM_WarmStartedStemWindow/{0,1}       — end-to-end streaming A/B: replay -> assembler
 //                                          -> per-window StEM, cold-started full-length
 //                                          (Arg 0) vs mean-field warm starts + early
@@ -89,14 +91,25 @@ void BM_WindowedStemFit(benchmark::State& state) {
   const qnet::StemEstimator estimator(options);
   const std::vector<double> init(
       static_cast<std::size_t>(fixture.truth.NumQueues()), 1.0);
-  for (auto _ : state) {
+  const auto fit = [&] {
     qnet::Rng rng(17);
     const qnet::StemResult result =
         estimator.Run(fixture.truth, fixture.obs, init, rng);
     benchmark::DoNotOptimize(result.rates.data());
+  };
+  fit();  // warm-up: per-thread initializer scratch
+
+  std::size_t fits = 0;
+  const std::size_t before = AllocationCount();
+  for (auto _ : state) {
+    fit();
+    ++fits;
   }
+  const std::size_t allocations = AllocationCount() - before;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kWindowTasks));
+  state.counters["allocs_per_fit"] =
+      static_cast<double>(allocations) / static_cast<double>(fits);
 }
 BENCHMARK(BM_WindowedStemFit)->Unit(benchmark::kMillisecond);
 

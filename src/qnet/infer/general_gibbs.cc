@@ -11,7 +11,7 @@ GeneralGibbsSampler::GeneralGibbsSampler(EventLog state, const Observation& obs,
   obs.Validate(state_);
   std::string why;
   QNET_CHECK(state_.IsFeasible(1e-6, &why), "initial state infeasible: ", why);
-  CollectLatentMoves(state_, obs, arrival_moves_, final_moves_);
+  num_arrival_moves_ = CollectLatentMoves(state_, obs, moves_);
 }
 
 void GeneralGibbsSampler::SetService(int queue, std::unique_ptr<ServiceDistribution> service) {
@@ -26,19 +26,20 @@ void GeneralGibbsSampler::Sweep(Rng& rng) {
         rng.NextU64());
     return;
   }
-  RunSweep(state_, arrival_moves_, kernel, rng);
+  const std::span<const SweepMove> moves(moves_);
+  RunSweep(state_, moves.first(num_arrival_moves_), kernel, rng);
   if (options_.resample_final_departures) {
-    RunSweep(state_, final_moves_, kernel, rng);
+    RunSweep(state_, moves.subspan(num_arrival_moves_), kernel, rng);
   }
 }
 
 void GeneralGibbsSampler::EnableShardedSweeps(const ShardedSweepOptions& options) {
-  const std::vector<SweepMove> moves = SweepMoves();
-  scheduler_ = std::make_unique<ShardedSweepScheduler>(state_, moves, options);
+  scheduler_ = std::make_unique<ShardedSweepScheduler>(state_, ScanMoves(), options);
 }
 
 std::vector<SweepMove> GeneralGibbsSampler::SweepMoves() const {
-  return ConcatSweepMoves(arrival_moves_, final_moves_, options_.resample_final_departures);
+  const std::span<const SweepMove> moves = ScanMoves();
+  return {moves.begin(), moves.end()};
 }
 
 }  // namespace qnet

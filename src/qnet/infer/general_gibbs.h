@@ -56,17 +56,24 @@ class GeneralGibbsSampler {
   // The sweep's moves in sequential scan order (see GibbsSampler::SweepMoves).
   std::vector<SweepMove> SweepMoves() const;
 
-  std::size_t NumLatentArrivals() const { return arrival_moves_.size(); }
+  std::size_t NumLatentArrivals() const { return num_arrival_moves_; }
 
   // Current log joint density of all service times (continuous part of eq. (1)).
   double LogJoint() const { return state_.LogJointTimes(net_); }
 
  private:
+  // The sweep's move list, viewed in place.
+  std::span<const SweepMove> ScanMoves() const {
+    return std::span<const SweepMove>(moves_).first(
+        options_.resample_final_departures ? moves_.size() : num_arrival_moves_);
+  }
+
   EventLog state_;
   QueueingNetwork net_;
   GeneralGibbsOptions options_;
-  std::vector<SweepMove> arrival_moves_;
-  std::vector<SweepMove> final_moves_;
+  // Arrival moves, then final-departure moves (CollectLatentMoves' scan order).
+  std::vector<SweepMove> moves_;
+  std::size_t num_arrival_moves_ = 0;
   std::unique_ptr<ShardedSweepScheduler> scheduler_;
 };
 

@@ -18,15 +18,15 @@ GibbsSampler::GibbsSampler(EventLog state, const Observation& obs, std::vector<d
              "rates size mismatch");
   std::string why;
   QNET_CHECK(state_.IsFeasible(1e-6, &why), "initial Gibbs state infeasible: ", why);
-  CollectLatentMoves(state_, obs, arrival_moves_, final_moves_);
+  num_arrival_moves_ = CollectLatentMoves(state_, obs, moves_);
 }
 
-void GibbsSampler::SetRates(std::vector<double> rates) {
+void GibbsSampler::SetRates(const std::vector<double>& rates) {
   QNET_CHECK(rates.size() == rates_.size(), "rates size mismatch");
   for (double r : rates) {
     QNET_CHECK(r > 0.0, "rates must be positive");
   }
-  rates_ = std::move(rates);
+  std::copy(rates.begin(), rates.end(), rates_.begin());
 }
 
 ShardedSweepScheduler* GibbsSampler::EffectiveScheduler(bool build_batch_schedule) {
@@ -43,13 +43,11 @@ ShardedSweepScheduler* GibbsSampler::EffectiveScheduler(bool build_batch_schedul
     ShardedSweepOptions options;
     options.shards = 1;
     options.threads = 1;
-    const std::vector<SweepMove> moves = SweepMoves();
-    batch_scheduler_ = std::make_unique<ShardedSweepScheduler>(state_, moves, options);
+    batch_scheduler_ = std::make_unique<ShardedSweepScheduler>(state_, ScanMoves(), options);
   } else if (batch_schedule_stale_) {
     // MutableState() may have rerouted events since the last sweep; the move list is
     // link-independent but the conflict coloring is not, so recolor before batching.
-    const std::vector<SweepMove> moves = SweepMoves();
-    batch_scheduler_->Rebuild(state_, moves);
+    batch_scheduler_->Rebuild(state_, ScanMoves());
   }
   batch_schedule_stale_ = false;
   return batch_scheduler_.get();
@@ -86,17 +84,17 @@ void GibbsSampler::Sweep(Rng& rng) {
   // Systematic scans iterate the move lists in place; only the shuffled scan needs a
   // mutable copy, and scan_buffer_ persists across sweeps so the copy reuses its capacity
   // after the first sweep (no per-sweep allocation either way).
-  std::span<const SweepMove> scan = arrival_moves_;
+  std::span<const SweepMove> scan = ArrivalMoves();
   if (options_.shuffle_scan) {
-    scan_buffer_.assign(arrival_moves_.begin(), arrival_moves_.end());
+    scan_buffer_.assign(scan.begin(), scan.end());
     rng.Shuffle(scan_buffer_);
     scan = scan_buffer_;
   }
   RunSweep(state_, scan, kernel, rng);
   if (options_.resample_final_departures) {
-    scan = final_moves_;
+    scan = FinalMoves();
     if (options_.shuffle_scan) {
-      scan_buffer_.assign(final_moves_.begin(), final_moves_.end());
+      scan_buffer_.assign(scan.begin(), scan.end());
       rng.Shuffle(scan_buffer_);
       scan = scan_buffer_;
     }
@@ -108,8 +106,7 @@ void GibbsSampler::EnableShardedSweeps(const ShardedSweepOptions& options) {
   QNET_CHECK(!options_.shuffle_scan,
              "sharded sweeps are incompatible with shuffle_scan: the colored schedule is "
              "frozen per trace");
-  const std::vector<SweepMove> moves = SweepMoves();
-  scheduler_ = std::make_unique<ShardedSweepScheduler>(state_, moves, options);
+  scheduler_ = std::make_unique<ShardedSweepScheduler>(state_, ScanMoves(), options);
 }
 
 void GibbsSampler::UseScheduler(ShardedSweepScheduler* scheduler) {
@@ -117,8 +114,7 @@ void GibbsSampler::UseScheduler(ShardedSweepScheduler* scheduler) {
     QNET_CHECK(!options_.shuffle_scan,
                "sharded sweeps are incompatible with shuffle_scan: the colored schedule is "
                "frozen per trace");
-    const std::vector<SweepMove> moves = SweepMoves();
-    scheduler->Rebuild(state_, moves);
+    scheduler->Rebuild(state_, ScanMoves());
   }
   external_scheduler_ = scheduler;
 }
@@ -141,7 +137,8 @@ void GibbsSampler::PerQueueServiceSumsInto(std::span<double> sums) const {
 }
 
 std::vector<SweepMove> GibbsSampler::SweepMoves() const {
-  return ConcatSweepMoves(arrival_moves_, final_moves_, options_.resample_final_departures);
+  const std::span<const SweepMove> moves = ScanMoves();
+  return {moves.begin(), moves.end()};
 }
 
 double GibbsSampler::LogJointExponential() const {

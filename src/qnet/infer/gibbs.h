@@ -75,7 +75,8 @@ class GibbsSampler {
   }
 
   const std::vector<double>& Rates() const { return rates_; }
-  void SetRates(std::vector<double> rates);
+  // Copies into the existing rate buffer (the StEM loop calls this every iteration).
+  void SetRates(const std::vector<double>& rates);
 
   // One systematic scan over all latent variables: sequential by default, the colored
   // sharded schedule after EnableShardedSweeps (which consumes exactly one NextU64 from
@@ -117,8 +118,8 @@ class GibbsSampler {
   // when enabled. The sharded schedule is a reordering of exactly this list.
   std::vector<SweepMove> SweepMoves() const;
 
-  std::size_t NumLatentArrivals() const { return arrival_moves_.size(); }
-  std::size_t NumLatentFinalDepartures() const { return final_moves_.size(); }
+  std::size_t NumLatentArrivals() const { return num_arrival_moves_; }
+  std::size_t NumLatentFinalDepartures() const { return moves_.size() - num_arrival_moves_; }
 
   // Unnormalized log joint of the current service times under exponential rates (density
   // part of eq. (1)); useful as a mixing diagnostic.
@@ -130,11 +131,22 @@ class GibbsSampler {
   // (batching needs a coloring even when nothing runs in parallel).
   ShardedSweepScheduler* EffectiveScheduler(bool build_batch_schedule);
 
+  std::span<const SweepMove> ArrivalMoves() const { return {moves_.data(), num_arrival_moves_}; }
+  std::span<const SweepMove> FinalMoves() const {
+    return std::span<const SweepMove>(moves_).subspan(num_arrival_moves_);
+  }
+  // The sweep's move list (what SweepMoves copies), viewed in place.
+  std::span<const SweepMove> ScanMoves() const {
+    return options_.resample_final_departures ? std::span<const SweepMove>(moves_)
+                                              : ArrivalMoves();
+  }
+
   EventLog state_;
   std::vector<double> rates_;
   GibbsOptions options_;
-  std::vector<SweepMove> arrival_moves_;
-  std::vector<SweepMove> final_moves_;
+  // Arrival moves, then final-departure moves (CollectLatentMoves' scan order).
+  std::vector<SweepMove> moves_;
+  std::size_t num_arrival_moves_ = 0;
   std::vector<SweepMove> scan_buffer_;
   std::unique_ptr<ShardedSweepScheduler> scheduler_;
   ShardedSweepScheduler* external_scheduler_ = nullptr;

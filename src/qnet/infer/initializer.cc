@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <vector>
 
 #include "qnet/lp/problem.h"
@@ -13,154 +12,172 @@
 namespace qnet {
 namespace {
 
-// Successor adjacency of the constraint graph on departure variables. Edge u -> v encodes
-// x_u <= x_v.
-std::vector<std::vector<EventId>> BuildConstraintEdges(const EventLog& log) {
-  const std::size_t n = log.NumEvents();
-  std::vector<std::vector<EventId>> succ(n);
-  // Per-event inner loop over the whole log: *Unchecked accessors under DCHECK, per the
-  // hot-path contract (ids come straight from the iteration bounds and the links).
-  for (EventId e = 0; static_cast<std::size_t>(e) < n; ++e) {
-    const Event& ev = log.AtUnchecked(e);
-    if (!ev.initial) {
-      succ[static_cast<std::size_t>(ev.pi)].push_back(e);  // x_pi <= x_e
-    }
-    if (ev.rho != kNoEvent) {
-      succ[static_cast<std::size_t>(ev.rho)].push_back(e);  // x_rho <= x_e
-      const Event& rho = log.AtUnchecked(ev.rho);
-      if (!ev.initial && !rho.initial) {
-        // Arrival order: x_pi(rho(e)) <= x_pi(e).
-        succ[static_cast<std::size_t>(rho.pi)].push_back(ev.pi);
-      }
-    }
-  }
-  return succ;
-}
-
-}  // namespace
-
-std::vector<EventId> ConstraintTopologicalOrder(const EventLog& log) {
-  const std::size_t n = log.NumEvents();
-  const auto succ = BuildConstraintEdges(log);
-  std::vector<int> indegree(n, 0);
-  for (const auto& out : succ) {
-    for (EventId v : out) {
-      ++indegree[static_cast<std::size_t>(v)];
-    }
-  }
-  std::deque<EventId> frontier;
-  for (EventId e = 0; static_cast<std::size_t>(e) < n; ++e) {
-    if (indegree[static_cast<std::size_t>(e)] == 0) {
-      frontier.push_back(e);
-    }
-  }
+// Working memory of one InitializeFeasible call. Every vector is assign()ed or resize()d,
+// so a thread that initializes same-shaped windows reuses its capacity and the greedy
+// path allocates nothing but the returned log; the memory held is bounded by the largest
+// window the thread has initialized.
+struct InitScratch {
+  // Successor adjacency of the constraint graph on departure variables as CSR: the
+  // successors of u are succ[offsets[u] .. offsets[u + 1]). Edge u -> v encodes x_u <= x_v.
+  std::vector<std::size_t> offsets;
+  std::vector<std::size_t> cursor;
+  std::vector<EventId> succ;
+  std::vector<int> indegree;
+  // Topological order; doubles as Kahn's FIFO frontier (pops advance a head index, and a
+  // FIFO pops in push order, so the pushed sequence is the order).
   std::vector<EventId> order;
-  order.reserve(n);
-  while (!frontier.empty()) {
-    const EventId u = frontier.front();
-    frontier.pop_front();
-    order.push_back(u);
-    for (EventId v : succ[static_cast<std::size_t>(u)]) {
-      if (--indegree[static_cast<std::size_t>(v)] == 0) {
-        frontier.push_back(v);
-      }
-    }
-  }
-  QNET_CHECK(order.size() == n, "constraint graph has a cycle; corrupt event log?");
-  return order;
-}
-
-namespace {
-
-struct Windows {
+  // Feasible windows [lower, upper] per departure; pinned events take pin_value.
   std::vector<double> lower;
   std::vector<double> upper;
   std::vector<char> pinned;
   std::vector<double> pin_value;
+  // Greedy assignment: running max of assigned predecessor values, and the values.
+  std::vector<double> pred_max;
+  std::vector<double> x;
+
+  std::span<const EventId> Successors(EventId u) const {
+    const auto ui = static_cast<std::size_t>(u);
+    return {succ.data() + offsets[ui], offsets[ui + 1] - offsets[ui]};
+  }
 };
 
-Windows ComputeWindows(const EventLog& log, const Observation& obs,
-                       const std::vector<EventId>& topo,
-                       const std::vector<std::vector<EventId>>& succ) {
+InitScratch& ThreadLocalInitScratch() {
+  thread_local InitScratch scratch;
+  return scratch;
+}
+
+// Calls edge(u, v) for every constraint-graph edge, grouped by the event e that induces
+// it, in event order:
+//     x_pi(e) <= x_e,   x_rho(e) <= x_e,   x_pi(rho(e)) <= x_pi(e)  (arrival order).
+// Per-event inner loop over the whole log: *Unchecked accessors under DCHECK, per the
+// hot-path contract (ids come straight from the iteration bounds and the links).
+template <typename EdgeFn>
+void ForEachConstraintEdge(const EventLog& log, EdgeFn&& edge) {
+  for (EventId e = 0; static_cast<std::size_t>(e) < log.NumEvents(); ++e) {
+    const Event& ev = log.AtUnchecked(e);
+    if (!ev.initial) {
+      edge(ev.pi, e);
+    }
+    if (ev.rho != kNoEvent) {
+      edge(ev.rho, e);
+      const Event& rho = log.AtUnchecked(ev.rho);
+      if (!ev.initial && !rho.initial) {
+        edge(rho.pi, ev.pi);
+      }
+    }
+  }
+}
+
+// Builds the CSR graph (count, then fill in the same edge order, so each node lists its
+// successors in the order the edges were enumerated) and its Kahn topological order.
+void BuildConstraintGraph(const EventLog& log, InitScratch& s) {
   const std::size_t n = log.NumEvents();
-  Windows w;
-  w.lower.assign(n, 0.0);
-  w.upper.assign(n, kPosInf);
-  w.pinned.assign(n, 0);
-  w.pin_value.assign(n, 0.0);
+  s.offsets.assign(n + 1, 0);
+  ForEachConstraintEdge(log, [&s](EventId u, EventId) {
+    ++s.offsets[static_cast<std::size_t>(u) + 1];
+  });
+  for (std::size_t u = 0; u < n; ++u) {
+    s.offsets[u + 1] += s.offsets[u];
+  }
+  s.cursor.assign(s.offsets.begin(), s.offsets.end() - 1);
+  s.succ.resize(s.offsets[n]);
+  s.indegree.assign(n, 0);
+  ForEachConstraintEdge(log, [&s](EventId u, EventId v) {
+    s.succ[s.cursor[static_cast<std::size_t>(u)]++] = v;
+    ++s.indegree[static_cast<std::size_t>(v)];
+  });
+
+  s.order.clear();
+  s.order.reserve(n);
+  for (EventId e = 0; static_cast<std::size_t>(e) < n; ++e) {
+    if (s.indegree[static_cast<std::size_t>(e)] == 0) {
+      s.order.push_back(e);
+    }
+  }
+  for (std::size_t head = 0; head < s.order.size(); ++head) {
+    for (EventId v : s.Successors(s.order[head])) {
+      if (--s.indegree[static_cast<std::size_t>(v)] == 0) {
+        s.order.push_back(v);
+      }
+    }
+  }
+  QNET_CHECK(s.order.size() == n, "constraint graph has a cycle; corrupt event log?");
+}
+
+void ComputeWindows(const EventLog& log, const Observation& obs, InitScratch& s) {
+  const std::size_t n = log.NumEvents();
+  s.lower.assign(n, 0.0);
+  s.upper.assign(n, kPosInf);
+  s.pinned.assign(n, 0);
+  s.pin_value.assign(n, 0.0);
   for (EventId e = 0; static_cast<std::size_t>(e) < n; ++e) {
     if (obs.DepartureObserved(e)) {
-      w.pinned[static_cast<std::size_t>(e)] = 1;
-      w.pin_value[static_cast<std::size_t>(e)] = log.DepartureUnchecked(e);
+      s.pinned[static_cast<std::size_t>(e)] = 1;
+      s.pin_value[static_cast<std::size_t>(e)] = log.DepartureUnchecked(e);
     }
   }
   // Forward pass: lower bounds.
-  for (EventId u : topo) {
-    auto& lb = w.lower[static_cast<std::size_t>(u)];
-    if (w.pinned[static_cast<std::size_t>(u)] != 0) {
-      QNET_CHECK(w.pin_value[static_cast<std::size_t>(u)] >= lb - 1e-6,
+  for (EventId u : s.order) {
+    auto& lb = s.lower[static_cast<std::size_t>(u)];
+    if (s.pinned[static_cast<std::size_t>(u)] != 0) {
+      QNET_CHECK(s.pin_value[static_cast<std::size_t>(u)] >= lb - 1e-6,
                  "observed departure violates lower bound at event ", u);
-      lb = w.pin_value[static_cast<std::size_t>(u)];
+      lb = s.pin_value[static_cast<std::size_t>(u)];
     }
-    for (EventId v : succ[static_cast<std::size_t>(u)]) {
-      auto& lb_v = w.lower[static_cast<std::size_t>(v)];
+    for (EventId v : s.Successors(u)) {
+      auto& lb_v = s.lower[static_cast<std::size_t>(v)];
       lb_v = std::max(lb_v, lb);
     }
   }
   // Backward pass: upper bounds.
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+  for (auto it = s.order.rbegin(); it != s.order.rend(); ++it) {
     const EventId u = *it;
-    auto& ub = w.upper[static_cast<std::size_t>(u)];
-    for (EventId v : succ[static_cast<std::size_t>(u)]) {
-      ub = std::min(ub, w.upper[static_cast<std::size_t>(v)]);
+    auto& ub = s.upper[static_cast<std::size_t>(u)];
+    for (EventId v : s.Successors(u)) {
+      ub = std::min(ub, s.upper[static_cast<std::size_t>(v)]);
     }
-    if (w.pinned[static_cast<std::size_t>(u)] != 0) {
-      QNET_CHECK(w.pin_value[static_cast<std::size_t>(u)] <= ub + 1e-6,
+    if (s.pinned[static_cast<std::size_t>(u)] != 0) {
+      QNET_CHECK(s.pin_value[static_cast<std::size_t>(u)] <= ub + 1e-6,
                  "observed departure violates upper bound at event ", u);
-      ub = w.pin_value[static_cast<std::size_t>(u)];
+      ub = s.pin_value[static_cast<std::size_t>(u)];
     }
-    QNET_CHECK(w.lower[static_cast<std::size_t>(u)] <= ub + 1e-6,
+    QNET_CHECK(s.lower[static_cast<std::size_t>(u)] <= ub + 1e-6,
                "infeasible window at event ", u);
   }
-  return w;
 }
 
-std::vector<double> AssignGreedy(const EventLog& log, const Windows& windows,
-                                 const std::vector<EventId>& topo,
-                                 const std::vector<std::vector<EventId>>& succ,
-                                 std::span<const double> rates, Rng& rng) {
+void AssignGreedy(const EventLog& log, std::span<const double> rates, Rng& rng,
+                  InitScratch& s) {
   const std::size_t n = log.NumEvents();
-  // Incoming max of assigned predecessor values, maintained while walking the topo order.
-  std::vector<double> pred_max(n, 0.0);
-  std::vector<double> x(n, 0.0);
-  for (EventId u : topo) {
+  s.pred_max.assign(n, 0.0);
+  s.x.assign(n, 0.0);
+  for (EventId u : s.order) {
     const std::size_t ui = static_cast<std::size_t>(u);
     double value;
-    if (windows.pinned[ui] != 0) {
-      value = windows.pin_value[ui];
-      QNET_CHECK(value >= pred_max[ui] - 1e-6,
+    if (s.pinned[ui] != 0) {
+      value = s.pin_value[ui];
+      QNET_CHECK(value >= s.pred_max[ui] - 1e-6,
                  "observed time below assigned predecessors at event ", u);
     } else {
-      const double base = std::max(pred_max[ui], windows.lower[ui]);
+      const double base = std::max(s.pred_max[ui], s.lower[ui]);
       const double rate = rates[static_cast<std::size_t>(log.AtUnchecked(u).queue)];
       double value_try = base + rng.Exponential(rate);
-      const double ub = windows.upper[ui];
+      const double ub = s.upper[ui];
       if (value_try > ub) {
         // Clip into the window, placing the point strictly inside when possible.
         value_try = (std::isfinite(ub) && ub > base) ? base + 0.95 * (ub - base) : ub;
       }
       value = std::min(std::max(value_try, base), ub);
     }
-    x[ui] = value;
-    for (EventId v : succ[ui]) {
-      auto& pm = pred_max[static_cast<std::size_t>(v)];
+    s.x[ui] = value;
+    for (EventId v : s.Successors(u)) {
+      auto& pm = s.pred_max[static_cast<std::size_t>(v)];
       pm = std::max(pm, value);
     }
   }
-  return x;
 }
 
-std::vector<double> AssignLp(const EventLog& log, const Windows& windows,
+std::vector<double> AssignLp(const EventLog& log, const InitScratch& windows,
                              std::span<const double> rates, double epsilon) {
   const std::size_t n = log.NumEvents();
   LpProblem lp;
@@ -277,19 +294,27 @@ std::vector<double> AssignLp(const EventLog& log, const Windows& windows,
 
 }  // namespace
 
+std::vector<EventId> ConstraintTopologicalOrder(const EventLog& log) {
+  InitScratch& scratch = ThreadLocalInitScratch();
+  BuildConstraintGraph(log, scratch);
+  return scratch.order;
+}
+
 EventLog InitializeFeasible(const EventLog& truth, const Observation& obs,
                             std::span<const double> rates, Rng& rng,
                             const InitializerOptions& options) {
   obs.Validate(truth);
   QNET_CHECK(static_cast<std::size_t>(truth.NumQueues()) == rates.size(),
              "rates size mismatch");
-  const auto topo = ConstraintTopologicalOrder(truth);
-  const auto succ = BuildConstraintEdges(truth);
-  const Windows windows = ComputeWindows(truth, obs, topo, succ);
-
-  const std::vector<double> x = options.method == InitMethod::kGreedy
-                                    ? AssignGreedy(truth, windows, topo, succ, rates, rng)
-                                    : AssignLp(truth, windows, rates, options.lp_epsilon);
+  InitScratch& scratch = ThreadLocalInitScratch();
+  BuildConstraintGraph(truth, scratch);
+  ComputeWindows(truth, obs, scratch);
+  if (options.method == InitMethod::kGreedy) {
+    AssignGreedy(truth, rates, rng, scratch);
+  } else {
+    scratch.x = AssignLp(truth, scratch, rates, options.lp_epsilon);
+  }
+  const std::vector<double>& x = scratch.x;
 
   EventLog state = truth;  // copies structure; all times overwritten below
   for (EventId e = 0; static_cast<std::size_t>(e) < truth.NumEvents(); ++e) {

@@ -33,28 +33,21 @@ double FindSliceStart(FunctionRef<double(double)> log_density, double x0, double
 
 }  // namespace
 
-void CollectLatentMoves(const EventLog& log, const Observation& obs,
-                        std::vector<SweepMove>& arrival_moves,
-                        std::vector<SweepMove>& final_moves) {
+std::size_t CollectLatentMoves(const EventLog& log, const Observation& obs,
+                               std::vector<SweepMove>& moves) {
+  moves.clear();
   for (EventId e = 0; static_cast<std::size_t>(e) < log.NumEvents(); ++e) {
-    const Event& ev = log.At(e);
-    if (!ev.initial && !obs.ArrivalObserved(e)) {
-      arrival_moves.push_back({MoveKind::kArrival, e});
-    }
-    if (ev.tau == kNoEvent && !obs.DepartureObserved(e)) {
-      final_moves.push_back({MoveKind::kFinalDeparture, e});
+    if (!log.At(e).initial && !obs.ArrivalObserved(e)) {
+      moves.push_back({MoveKind::kArrival, e});
     }
   }
-}
-
-std::vector<SweepMove> ConcatSweepMoves(std::span<const SweepMove> arrival_moves,
-                                        std::span<const SweepMove> final_moves,
-                                        bool include_finals) {
-  std::vector<SweepMove> moves(arrival_moves.begin(), arrival_moves.end());
-  if (include_finals) {
-    moves.insert(moves.end(), final_moves.begin(), final_moves.end());
+  const std::size_t num_arrival = moves.size();
+  for (EventId e = 0; static_cast<std::size_t>(e) < log.NumEvents(); ++e) {
+    if (log.At(e).tau == kNoEvent && !obs.DepartureObserved(e)) {
+      moves.push_back({MoveKind::kFinalDeparture, e});
+    }
   }
-  return moves;
+  return num_arrival;
 }
 
 BatchedExponentialMoveKernel::BatchedExponentialMoveKernel(std::span<const double> rates,

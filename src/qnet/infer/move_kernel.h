@@ -37,18 +37,14 @@
 
 namespace qnet {
 
-// The latent coordinates of (log, obs) as sweep moves, in scan (event id) order: an
-// arrival move for every non-initial event whose arrival is unobserved, a final-departure
-// move for every task-final event whose departure is unobserved. Shared by every sweep
-// driver so move eligibility is defined exactly once.
-void CollectLatentMoves(const EventLog& log, const Observation& obs,
-                        std::vector<SweepMove>& arrival_moves,
-                        std::vector<SweepMove>& final_moves);
-
-// The sequential scan order: arrival moves, then (optionally) final-departure moves.
-std::vector<SweepMove> ConcatSweepMoves(std::span<const SweepMove> arrival_moves,
-                                        std::span<const SweepMove> final_moves,
-                                        bool include_finals);
+// The latent coordinates of (log, obs) as sweep moves in the sequential scan order,
+// written into `moves` (cleared first): an arrival move for every non-initial event whose
+// arrival is unobserved, then a final-departure move for every task-final event whose
+// departure is unobserved, each kind in event id order. Returns the number of arrival
+// moves, so moves[0, n) are the arrival moves and the rest the final departures. Shared
+// by every sweep driver so move eligibility is defined exactly once.
+std::size_t CollectLatentMoves(const EventLog& log, const Observation& obs,
+                               std::vector<SweepMove>& moves);
 
 // Refreshes one event's entry in a fused sufficient-statistics cache: the derived service
 // time d_e - BeginService(e), stored per event id so the M-step can re-derive per-queue

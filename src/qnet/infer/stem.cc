@@ -88,15 +88,15 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
     for (std::size_t s = 0; s < options_.sweeps_per_iteration; ++s) {
       gibbs.Sweep(rng);
     }
-    // M-step: complete-data MLE on the fused statistics of the imputed log.
+    // M-step: complete-data MLE on the fused statistics of the imputed log, in place
+    // (MStepFromSums reads only the sums and counts).
     gibbs.PerQueueServiceSumsInto(sums);
-    std::vector<double> new_rates(num_queues, 0.0);
-    MStepFromSums(sums, counts, new_rates, options_.service_sum_floor,
+    const double lambda = rates[0];
+    MStepFromSums(sums, counts, rates, options_.service_sum_floor,
                   options_.arrival_time_origin);
     if (!options_.estimate_arrival_rate) {
-      new_rates[0] = rates[0];
+      rates[0] = lambda;
     }
-    rates = std::move(new_rates);
     result.rate_trace.push_back(rates);
     if (iter >= options_.burn_in) {
       for (std::size_t q = 0; q < num_queues; ++q) {
@@ -139,9 +139,10 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
   if (options_.wait_sweeps > 0) {
     gibbs.SetRates(result.rates);
     std::vector<double> wait_accum(num_queues, 0.0);
+    std::vector<double> waits(num_queues, 0.0);
     for (std::size_t s = 0; s < options_.wait_sweeps; ++s) {
       gibbs.Sweep(rng);
-      const std::vector<double> waits = gibbs.State().PerQueueMeanWait();
+      gibbs.State().PerQueueMeanWaitInto(counts, waits);
       for (std::size_t q = 0; q < num_queues; ++q) {
         wait_accum[q] += waits[q];
       }

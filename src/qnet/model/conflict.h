@@ -32,27 +32,23 @@ struct MoveColoring {
 
 // Reusable buffers for ColorSweepMovesInto. Holding one of these across recolorings (the
 // sharded sweep scheduler keeps one per instance) makes a same-shaped recoloring
-// allocation-free: every vector is assign()ed, so capacity persists.
+// allocation-free: the vector is assign()ed, so capacity persists.
 struct ColoringScratch {
-  std::vector<MoveFootprint> footprints;
-  // CSR incidence event -> move indices: the moves touching event e are
-  // touch_moves[touch_offsets[e] .. touch_offsets[e + 1]).
-  std::vector<std::int32_t> touch_offsets;
-  std::vector<std::int32_t> touch_cursor;
-  std::vector<std::int32_t> touch_moves;
-  std::vector<std::size_t> blocked;
+  // event_colors[e] has bit c set when a move already colored c touches event e.
+  std::vector<std::uint64_t> event_colors;
 };
 
 // Greedy first-fit coloring of the footprint-conflict graph. Deterministic; O(moves ×
-// footprint × incidence) with all bounds constant, so effectively linear in the move
-// count. The chromatic count is small in practice (the conflict graph has bounded degree:
-// an event appears in only a handful of footprints).
+// footprint). Colors are tracked as one 64-bit mask per event, which is enough by a wide
+// margin: a footprint has at most 6 events, and an event x lies in at most 9 footprints —
+// arrival moves on x, tau(x), nu(x), rho(x), tau(nu(x)), tau(rho(x)) and final-departure
+// moves on x, nu(x), rho(x) — so a move has at most 6 × 8 = 48 neighbors and first-fit
+// uses at most 49 colors (real traces need ~6–10). A log that would need a 65th color
+// fails a QNET_CHECK.
 MoveColoring ColorSweepMoves(const EventLog& log, std::span<const SweepMove> moves);
 
-// In-place variant: identical colors (the CSR incidence preserves the per-event move
-// order of the list-of-lists build, so the first-fit pass sees the same neighbor
-// sequence), with all working memory drawn from `scratch` and the result written into
-// `out` — no allocations once the buffers are warm.
+// In-place variant: identical colors, with all working memory drawn from `scratch` and the
+// result written into `out` — no allocations once the buffers are warm.
 void ColorSweepMovesInto(const EventLog& log, std::span<const SweepMove> moves,
                          ColoringScratch& scratch, MoveColoring& out);
 

@@ -314,19 +314,25 @@ std::vector<double> EventLog::PerQueueMeanService() const {
 }
 
 std::vector<double> EventLog::PerQueueMeanWait() const {
-  std::vector<double> sums(static_cast<std::size_t>(num_queues_), 0.0);
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_queues_), 0);
+  std::vector<double> means(static_cast<std::size_t>(num_queues_), 0.0);
+  PerQueueMeanWaitInto(PerQueueCount(), means);
+  return means;
+}
+
+void EventLog::PerQueueMeanWaitInto(std::span<const std::size_t> counts,
+                                    std::span<double> means) const {
+  QNET_CHECK(counts.size() == static_cast<std::size_t>(num_queues_) &&
+                 means.size() == counts.size(),
+             "per-queue span sizes disagree with the queue count");
+  std::fill(means.begin(), means.end(), 0.0);
   for (EventId e = 0; static_cast<std::size_t>(e) < events_.size(); ++e) {
-    const auto q = static_cast<std::size_t>(events_[Check(e)].queue);
-    sums[q] += WaitTime(e);
-    ++counts[q];
+    means[static_cast<std::size_t>(events_[Check(e)].queue)] += WaitTime(e);
   }
-  for (std::size_t q = 0; q < sums.size(); ++q) {
+  for (std::size_t q = 0; q < means.size(); ++q) {
     if (counts[q] > 0) {
-      sums[q] /= static_cast<double>(counts[q]);
+      means[q] /= static_cast<double>(counts[q]);
     }
   }
-  return sums;
 }
 
 std::vector<std::size_t> EventLog::PerQueueCount() const {

@@ -215,6 +215,10 @@ class EventLog {
   std::vector<double> PerQueueMeanService() const;
   // Per-queue mean waiting time.
   std::vector<double> PerQueueMeanWait() const;
+  // The same means written into `means`, given the per-queue event counts (PerQueueCount,
+  // which is constant under a fixed link structure) — the allocation-free form the StEM
+  // wait phase calls once per sweep.
+  void PerQueueMeanWaitInto(std::span<const std::size_t> counts, std::span<double> means) const;
   // Per-queue event counts.
   std::vector<std::size_t> PerQueueCount() const;
   // Sum of service times per queue (the M-step sufficient statistic).

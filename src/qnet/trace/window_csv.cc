@@ -1,5 +1,6 @@
 #include "qnet/trace/window_csv.h"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -56,8 +57,9 @@ std::vector<WindowEstimate> ReadWindowEstimates(std::istream& is) {
       ReadCsvMetaLine(is, "windows", "window-estimate CSV"), "windows header");
   QNET_CHECK(windows >= 0, "negative window count");
 
+  // The header's count is not trusted for a reservation: rows are appended as they parse,
+  // so a hostile count fails as a truncated file, not as an allocation.
   std::vector<WindowEstimate> estimates;
-  estimates.reserve(static_cast<std::size_t>(windows));
   const std::size_t queues = static_cast<std::size_t>(num_queues);
   std::string line;
   std::vector<std::string> fields;
@@ -81,8 +83,14 @@ std::vector<WindowEstimate> ReadWindowEstimates(std::istream& is) {
     WindowEstimate estimate;
     estimate.t0 = ParseCsvDouble(fields[0], line);
     estimate.t1 = ParseCsvDouble(fields[1], line);
-    estimate.tasks = static_cast<std::size_t>(ParseCsvLong(fields[2], line));
-    estimate.merged_tail_tasks = static_cast<std::size_t>(ParseCsvLong(fields[3], line));
+    QNET_CHECK(std::isfinite(estimate.t0) && std::isfinite(estimate.t1) &&
+                   estimate.t0 <= estimate.t1,
+               "bad window bounds: ", line);
+    const long tasks = ParseCsvLong(fields[2], line);
+    const long merged_tail_tasks = ParseCsvLong(fields[3], line);
+    QNET_CHECK(tasks >= 0 && merged_tail_tasks >= 0, "negative task count: ", line);
+    estimate.tasks = static_cast<std::size_t>(tasks);
+    estimate.merged_tail_tasks = static_cast<std::size_t>(merged_tail_tasks);
     estimate.window_local_arrival_rate = ParseCsvInt(fields[4], line) != 0;
     estimate.degraded = ParseCsvInt(fields[5], line) != 0;
     const long fit_iterations = ParseCsvLong(fields[6], line);
@@ -96,6 +104,8 @@ std::vector<WindowEstimate> ReadWindowEstimates(std::istream& is) {
     estimate.rates.resize(queues);
     for (std::size_t q = 0; q < queues; ++q) {
       estimate.rates[q] = ParseCsvDouble(fields[meta_fields + q], line);
+      QNET_CHECK(std::isfinite(estimate.rates[q]) && estimate.rates[q] > 0.0,
+                 "rate must be finite and positive: ", line);
     }
     if (fields.size() == meta_fields + 2 * queues) {
       estimate.mean_wait.resize(queues);

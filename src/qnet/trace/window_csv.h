@@ -31,7 +31,9 @@ void WriteWindowEstimates(std::ostream& os, const std::vector<WindowEstimate>& e
 void WriteWindowEstimatesFile(const std::string& path,
                               const std::vector<WindowEstimate>& estimates, int num_queues);
 
-// Inverse of WriteWindowEstimates; throws qnet::Error on malformed input.
+// Inverse of WriteWindowEstimates; throws qnet::Error on malformed input, including
+// values no estimator emits: non-finite or reversed window bounds (t1 < t0), negative task
+// counts, and rates that are not finite and positive.
 std::vector<WindowEstimate> ReadWindowEstimates(std::istream& is);
 
 }  // namespace qnet

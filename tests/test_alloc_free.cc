@@ -102,6 +102,23 @@ TEST(AllocFree, BuildArrivalDensityDoesNotAllocate) {
   EXPECT_EQ(AllocationCount(), before) << "sink=" << sink;
 }
 
+TEST(AllocFree, WarmInitializerAllocatesOnlyItsReturnedLog) {
+  // The greedy initializer's constraint graph, windows and assignment live in per-thread
+  // scratch, so a warm same-shaped call allocates exactly what copying the log into the
+  // returned EventLog allocates, and nothing else.
+  const Fixture fixture = MakeFixture();
+  Rng rng(5);
+  (void)InitializeFeasible(fixture.truth, fixture.obs, fixture.rates, rng);  // warm-up
+  std::size_t before = AllocationCount();
+  const EventLog copy = fixture.truth;
+  const std::size_t copy_allocations = AllocationCount() - before;
+  before = AllocationCount();
+  const EventLog state = InitializeFeasible(fixture.truth, fixture.obs, fixture.rates, rng);
+  const std::size_t allocations = AllocationCount() - before;
+  EXPECT_EQ(allocations, copy_allocations);
+  EXPECT_EQ(state.NumEvents(), copy.NumEvents());
+}
+
 TEST(AllocFree, WholeGibbsSweepDoesNotAllocate) {
   const Fixture fixture = MakeFixture();
   GibbsSampler sampler(fixture.init, fixture.obs, fixture.rates);

@@ -13,6 +13,7 @@
 #include "qnet/support/check.h"
 #include "qnet/support/math.h"
 #include "qnet/support/rng.h"
+#include "support/reference_initializer.h"
 
 namespace qnet {
 namespace {
@@ -116,6 +117,48 @@ TEST(ConstraintTopo, OrderRespectsAllEdges) {
       if (!ev.initial && !rho.initial) {
         EXPECT_LE(position[static_cast<std::size_t>(rho.pi)],
                   position[static_cast<std::size_t>(ev.pi)]);
+      }
+    }
+  }
+}
+
+TEST(ConstraintTopo, OrderMatchesListOfListsReference) {
+  for (int net_kind = 0; net_kind < 3; ++net_kind) {
+    const auto [truth, rates] = MakeProblem(net_kind, 120, 3 + net_kind);
+    (void)rates;
+    EXPECT_EQ(ConstraintTopologicalOrder(truth),
+              qnet_testing::ReferenceTopologicalOrder(
+                  qnet_testing::ReferenceConstraintEdges(truth)))
+        << "net kind " << net_kind;
+  }
+}
+
+TEST(Initializer, GreedyIsBitEqualToListOfListsReference) {
+  // Same seed, same draws, same log: the CSR graph must reproduce the list-of-lists
+  // graph's topological order and successor order exactly. Calls alternate between
+  // shapes so the reused per-thread scratch is exercised both growing and shrinking.
+  for (int round = 0; round < 2; ++round) {
+    for (int net_kind = 0; net_kind < 3; ++net_kind) {
+      for (const double fraction : {0.0, 0.1, 0.25, 0.6}) {
+        const int tasks = 60 + 90 * net_kind + 40 * round;
+        const auto [truth, rates] = MakeProblem(net_kind, tasks, 500 + net_kind);
+        TaskSamplingScheme scheme;
+        scheme.fraction = fraction;
+        scheme.observe_final_departure = net_kind == 1;
+        Rng obs_rng(91);
+        const Observation obs = scheme.Apply(truth, obs_rng);
+
+        Rng rng(1234 + static_cast<std::uint64_t>(round));
+        Rng reference_rng(1234 + static_cast<std::uint64_t>(round));
+        const EventLog state = InitializeFeasible(truth, obs, rates, rng);
+        const EventLog reference =
+            qnet_testing::ReferenceInitializeGreedy(truth, obs, rates, reference_rng);
+        ASSERT_EQ(state.NumEvents(), reference.NumEvents());
+        for (EventId e = 0; static_cast<std::size_t>(e) < state.NumEvents(); ++e) {
+          ASSERT_EQ(state.Arrival(e), reference.Arrival(e)) << "event " << e;
+          ASSERT_EQ(state.Departure(e), reference.Departure(e)) << "event " << e;
+        }
+        EXPECT_EQ(rng.NextU64(), reference_rng.NextU64()) << "draw counts differ";
       }
     }
   }

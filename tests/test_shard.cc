@@ -14,7 +14,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -843,6 +845,98 @@ TEST(WindowCsv, RejectsCorruptAlertsMask) {
   std::stringstream garbage(
       "# queues=2\n# windows=1\n0,10,5,0,1,0,4,x,1.5,2.5\n");
   EXPECT_THROW(ReadWindowEstimates(garbage), Error);
+}
+
+TEST(WindowCsv, RejectsValuesNoEstimatorEmits) {
+  const auto rejects = [](const std::string& text) {
+    std::stringstream is(text);
+    EXPECT_THROW(ReadWindowEstimates(is), Error) << text;
+  };
+  const std::string header = "# queues=2\n# windows=1\n";
+  // A header count far beyond the rows is a truncated file, not an allocation failure.
+  rejects("# queues=2\n# windows=9000000000000000000\n0,10,5,0,1,0,4,0,1.5,2.5\n");
+  rejects(header + "0,10,-5,0,1,0,4,0,1.5,2.5\n");   // negative tasks
+  rejects(header + "0,10,5,-1,1,0,4,0,1.5,2.5\n");   // negative merged_tail_tasks
+  rejects(header + "10,0,5,0,1,0,4,0,1.5,2.5\n");    // t1 < t0
+  rejects(header + "nan,10,5,0,1,0,4,0,1.5,2.5\n");  // non-finite bounds
+  rejects(header + "0,inf,5,0,1,0,4,0,1.5,2.5\n");
+  rejects(header + "0,10,5,0,1,0,4,0,nan,2.5\n");    // rates: NaN, infinite, <= 0
+  rejects(header + "0,10,5,0,1,0,4,0,1.5,inf\n");
+  rejects(header + "0,10,5,0,1,0,4,0,0,2.5\n");
+  rejects(header + "0,10,5,0,1,0,4,0,1.5,-2.5\n");
+
+  std::stringstream empty_window(header + "10,10,0,0,1,0,4,0,1.5,2.5\n");
+  EXPECT_EQ(ReadWindowEstimates(empty_window).size(), 1u);
+}
+
+TEST(WindowCsv, ByteMutationsNeverCrashAndNeverYieldAnImpossibleEstimate) {
+  // Seeded mutation corpus over a valid estimate file: every single-byte mutation either
+  // raises qnet::Error or parses to estimates an estimator could have emitted. Any other
+  // exception fails the test.
+  constexpr int kQueues = 3;
+  Rng rng(31);
+  std::vector<WindowEstimate> estimates(8);
+  double t = 0.0;
+  for (std::size_t w = 0; w < estimates.size(); ++w) {
+    WindowEstimate& estimate = estimates[w];
+    estimate.t0 = t;
+    t += 10.0 + rng.Uniform();
+    estimate.t1 = t;
+    estimate.tasks = 90 + rng.NextU64() % 20;
+    estimate.merged_tail_tasks = w + 1 == estimates.size() ? 17 : 0;
+    estimate.window_local_arrival_rate = w % 2 == 0;
+    estimate.degraded = w % 3 == 0;
+    estimate.fit_iterations = estimate.degraded ? 0 : 20;
+    estimate.alerts = w == 4 ? 0x5u : 0u;
+    for (int q = 0; q < kQueues; ++q) {
+      estimate.rates.push_back(5.0 + 10.0 * rng.Uniform());
+      if (w % 2 == 1) {
+        estimate.mean_wait.push_back(0.1 * rng.Uniform());
+      }
+    }
+  }
+  std::ostringstream written;
+  WriteWindowEstimates(written, estimates, kQueues);
+  const std::string valid = written.str();
+
+  static constexpr char kAlphabet[] = "0123456789.,-+eE\n #ainf";
+  constexpr int kMutations = 20000;
+  int accepted = 0;
+  int rejected = 0;
+  int impossible_accepted = 0;
+  std::string mutated;
+  for (int i = 0; i < kMutations; ++i) {
+    mutated = valid;
+    const std::uint64_t at = rng.NextU64() % mutated.size();
+    const std::uint64_t pick = rng.NextU64();
+    // Mostly CSV-shaped bytes (digits, separators, exponents), sometimes any byte.
+    mutated[at] = pick % 4 == 0 ? static_cast<char>(pick >> 8)
+                                : kAlphabet[(pick >> 8) % (sizeof(kAlphabet) - 1)];
+    std::istringstream is(mutated);
+    try {
+      const std::vector<WindowEstimate> parsed = ReadWindowEstimates(is);
+      ++accepted;
+      for (const WindowEstimate& estimate : parsed) {
+        bool possible = std::isfinite(estimate.t0) && std::isfinite(estimate.t1) &&
+                        estimate.t0 <= estimate.t1 &&
+                        estimate.tasks <= static_cast<std::size_t>(
+                                              std::numeric_limits<long>::max()) &&
+                        estimate.merged_tail_tasks <= static_cast<std::size_t>(
+                                                          std::numeric_limits<long>::max()) &&
+                        estimate.rates.size() == static_cast<std::size_t>(kQueues);
+        for (const double rate : estimate.rates) {
+          possible = possible && std::isfinite(rate) && rate > 0.0;
+        }
+        impossible_accepted += possible ? 0 : 1;
+      }
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(impossible_accepted, 0) << "of " << accepted << " accepted mutations";
+  EXPECT_EQ(accepted + rejected, kMutations);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

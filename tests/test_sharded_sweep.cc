@@ -21,6 +21,8 @@
 #include "qnet/obs/observation.h"
 #include "qnet/sim/simulator.h"
 #include "qnet/support/rng.h"
+#include "qnet/webapp/movievote.h"
+#include "support/reference_coloring.h"
 
 namespace qnet {
 namespace {
@@ -105,6 +107,64 @@ TEST(ConflictColoring, AdjacentQueueNeighborsConflict) {
       }
     }
   }
+}
+
+// Mask coloring == the incidence-walking first-fit oracle, color for color, on seeded
+// three-tier, tandem and web-app logs. Fully latent windows put every event in as many
+// footprints as the link structure allows (the web app's network queue is visited twice
+// per task); one scratch is reused across all of them, largest first, so stale masks
+// from a bigger log would show.
+TEST(ConflictColoring, MaskColoringMatchesIncidenceReference) {
+  ThreeTierConfig tier;
+  tier.tier_sizes = {1, 2, 4};
+  tier.arrival_rate = 10.0;
+  tier.service_rate = 15.0;
+  const QueueingNetwork three_tier = MakeThreeTierNetwork(tier);
+  const QueueingNetwork tandem = MakeTandemNetwork(2.0, {2.5, 2.2, 3.0});
+  webapp::MovieVoteConfig web;
+  web.horizon = 120.0;
+  const webapp::MovieVoteTestbed testbed = webapp::MakeTestbed(web);
+
+  std::vector<std::pair<EventLog, double>> logs;
+  for (const double fraction : {0.0, 0.25}) {
+    Rng rng(41);
+    logs.emplace_back(SimulateWorkload(three_tier, PoissonArrivals(10.0, 400), rng), fraction);
+    logs.emplace_back(SimulateWorkload(tandem, PoissonArrivals(2.0, 300), rng), fraction);
+    logs.emplace_back(webapp::GenerateTrace(testbed, web, rng), fraction);
+  }
+  std::sort(logs.begin(), logs.end(), [](const auto& a, const auto& b) {
+    return a.first.NumEvents() > b.first.NumEvents();
+  });
+
+  ColoringScratch scratch;
+  MoveColoring coloring;
+  std::size_t max_moves_per_event = 0;
+  for (const auto& [log, fraction] : logs) {
+    Rng rng(43);
+    TaskSamplingScheme scheme;
+    scheme.fraction = fraction;
+    const Observation obs = scheme.Apply(log, rng);
+    const GibbsSampler sampler(log, obs, std::vector<double>(
+                                             static_cast<std::size_t>(log.NumQueues()), 1.0));
+    const std::vector<SweepMove> moves = sampler.SweepMoves();
+    ASSERT_FALSE(moves.empty());
+
+    const MoveColoring reference = qnet_testing::ReferenceColorSweepMoves(log, moves);
+    ColorSweepMovesInto(log, moves, scratch, coloring);
+    EXPECT_EQ(coloring.color, reference.color) << log.NumEvents() << " events";
+    EXPECT_EQ(coloring.num_colors, reference.num_colors);
+    EXPECT_EQ(ColorSweepMoves(log, moves).color, reference.color);
+
+    std::vector<std::size_t> moves_per_event(log.NumEvents(), 0);
+    for (const SweepMove& move : moves) {
+      const MoveFootprint footprint = log.ComputeMoveFootprint(move);
+      for (EventId e : footprint.Events()) {
+        max_moves_per_event =
+            std::max(max_moves_per_event, ++moves_per_event[static_cast<std::size_t>(e)]);
+      }
+    }
+  }
+  EXPECT_GE(max_moves_per_event, 6u);
 }
 
 TEST(ConflictColoring, EmptyMoveListColorsTrivially) {
