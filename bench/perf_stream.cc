@@ -16,9 +16,18 @@
 //                                          ingested task in steady state; CI gates an
 //                                          upper bound (per-window log building is
 //                                          allowed to allocate, but the cost per task
-//                                          must stay small and constant).
+//                                          must stay small and constant);
+//   BM_CsvReplayNext items_per_second / bytes_per_second — CsvReplayStream::Next over an
+//                                          in-memory three-tier trace CSV (log +
+//                                          observation text); allocs_per_task MUST be 0
+//                                          once the reader is warm (CI gates it).
 
 #include <benchmark/benchmark.h>
+
+#include <istream>
+#include <sstream>
+#include <streambuf>
+#include <string>
 
 // Counting allocator (defines global operator new/delete; one TU per binary).
 #include "../tests/support/counting_allocator.h"
@@ -31,6 +40,7 @@
 #include "qnet/stream/streaming_estimator.h"
 #include "qnet/stream/window_assembler.h"
 #include "qnet/support/rng.h"
+#include "qnet/trace/csv.h"
 
 namespace {
 
@@ -223,5 +233,67 @@ void BM_StreamSteadyStateAllocations(benchmark::State& state) {
       tasks > 0 ? static_cast<double>(after - before) / static_cast<double>(tasks) : 0.0;
 }
 BENCHMARK(BM_StreamSteadyStateAllocations)->Unit(benchmark::kMillisecond);
+
+// Read-only streambuf over a caller-owned string, so every pass re-reads the same CSV
+// text without copying it into a stringstream.
+class TextBuf : public std::streambuf {
+ public:
+  explicit TextBuf(const std::string& text) {
+    char* begin = const_cast<char*>(text.data());
+    setg(begin, begin, begin + text.size());
+  }
+};
+
+// CsvReplayStream::Next alone: a three-tier {1,2,4} trace (arrival rate 40, service rate
+// 60 per server, 25% of tasks observed), written by WriteEventLog / WriteObservation into
+// memory and read back. Each pass reads its first task outside the timed and counted
+// region (the row buffers and the record's visit vector are then warm), then the rest.
+void BM_CsvReplayNext(benchmark::State& state) {
+  constexpr std::size_t kTasks = 8000;
+  qnet::ThreeTierConfig config;
+  config.tier_sizes = {1, 2, 4};
+  config.arrival_rate = 40.0;
+  config.service_rate = 60.0;
+  const qnet::QueueingNetwork net = qnet::MakeThreeTierNetwork(config);
+  qnet::Rng rng(12345);
+  const qnet::EventLog truth =
+      qnet::SimulateWorkload(net, qnet::PoissonArrivals(40.0, kTasks), rng);
+  qnet::TaskSamplingScheme scheme;
+  scheme.fraction = 0.25;
+  const qnet::Observation obs = scheme.Apply(truth, rng);
+  std::ostringstream log_os;
+  qnet::WriteEventLog(log_os, truth);
+  const std::string log_csv = log_os.str();
+  std::ostringstream obs_os;
+  qnet::WriteObservation(obs_os, obs);
+  const std::string obs_csv = obs_os.str();
+
+  std::size_t tasks = 0;
+  std::size_t allocations = 0;
+  qnet::TaskRecord record;
+  for (auto _ : state) {
+    state.PauseTiming();
+    TextBuf log_buf(log_csv);
+    TextBuf obs_buf(obs_csv);
+    std::istream log_is(&log_buf);
+    std::istream obs_is(&obs_buf);
+    qnet::CsvReplayStream stream(log_is, -1, &obs_is);
+    stream.Next(record);
+    ++tasks;
+    state.ResumeTiming();
+    const std::size_t before = AllocationCount();
+    while (stream.Next(record)) {
+      benchmark::DoNotOptimize(record.entry_time);
+      ++tasks;
+    }
+    allocations += AllocationCount() - before;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(tasks));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(log_csv.size() + obs_csv.size()));
+  state.counters["allocs_per_task"] =
+      tasks > 0 ? static_cast<double>(allocations) / static_cast<double>(tasks) : 0.0;
+}
+BENCHMARK(BM_CsvReplayNext)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,7 +1,8 @@
 #include "qnet/stream/replay_stream.h"
 
+#include <cmath>
+
 #include "qnet/support/check.h"
-#include "qnet/trace/csv.h"
 
 namespace qnet {
 
@@ -45,45 +46,33 @@ CsvReplayStream::CsvReplayStream(const std::string& log_path, const std::string&
 
 void CsvReplayStream::Init() {
   num_queues_ = ReadEventLogHeader(*log_is_, num_queues_);
+  log_rows_.emplace(*log_is_);
   if (obs_is_ != nullptr) {
-    QNET_CHECK(static_cast<bool>(std::getline(*obs_is_, line_)), "empty observation stream");
-    QNET_CHECK(line_.rfind("event,", 0) == 0, "missing observation header");
+    ReadObservationHeader(*obs_is_);
+    obs_rows_.emplace(*obs_is_);
   }
 }
 
 bool CsvReplayStream::NextLogRow() {
-  while (std::getline(*log_is_, line_)) {
-    if (line_.empty()) {
-      continue;
-    }
-    SplitCsvLine(line_, fields_);
-    QNET_CHECK(fields_.size() == 6, "bad event-log row: ", line_);
-    QNET_CHECK(fields_[5] == "0" || fields_[5] == "1", "bad initial flag in row: ", line_);
-    return true;
+  if (!log_rows_->Next(line_)) {
+    return false;
   }
-  return false;
+  row_ = ParseEventLogRow(line_, fields_);
+  return true;
 }
 
 std::pair<bool, bool> CsvReplayStream::NextObsFlags() {
   const long event = next_event_id_++;
-  if (obs_is_ == nullptr) {
+  if (!obs_rows_) {
     return {true, true};
   }
-  while (std::getline(*obs_is_, obs_line_)) {
-    if (obs_line_.empty()) {
-      continue;
-    }
-    SplitCsvLine(obs_line_, obs_fields_);
-    QNET_CHECK(obs_fields_.size() == 3, "bad observation row: ", obs_line_);
-    QNET_CHECK((obs_fields_[1] == "0" || obs_fields_[1] == "1") &&
-                   (obs_fields_[2] == "0" || obs_fields_[2] == "1"),
-               "bad observation flags in row: ", obs_line_);
-    QNET_CHECK(ParseCsvLong(obs_fields_[0], obs_line_) == event,
-               "observation rows out of lockstep with log at event ", event);
-    return {obs_fields_[1] == "1", obs_fields_[2] == "1"};
-  }
-  QNET_CHECK(false, "observation stream ended before the log (event ", event, ")");
-  return {true, true};  // unreachable
+  std::string_view obs_line;
+  QNET_CHECK(obs_rows_->Next(obs_line), "observation stream ended before the log (event ",
+             event, ")");
+  const ObservationRow flags = ParseObservationRow(obs_line, fields_);
+  QNET_CHECK(flags.event == event, "observation rows out of lockstep with log at event ",
+             event);
+  return {flags.arrival_observed, flags.departure_observed};
 }
 
 bool CsvReplayStream::Next(TaskRecord& out) {
@@ -91,22 +80,36 @@ bool CsvReplayStream::Next(TaskRecord& out) {
     return false;
   }
   have_buffered_row_ = false;
-  QNET_CHECK(fields_[5] == "1", "expected an initial row, got: ", line_);
-  QNET_CHECK(ParseCsvInt(fields_[0], line_) == next_task_,
-             "tasks out of order at row: ", line_);
+  QNET_CHECK(row_.initial, "expected an initial row, got: ", line_);
+  QNET_CHECK(row_.task == next_task_, "tasks out of order at row: ", line_);
+  QNET_CHECK(std::isfinite(row_.departure), "non-finite entry time in row: ", line_);
   out.Clear();
-  out.entry_time = ParseCsvDouble(fields_[4], line_);
+  out.entry_time = row_.departure;
   NextObsFlags();  // keep the observation stream in lockstep (initial-event row)
+  double previous_departure = out.entry_time;
   while (NextLogRow()) {
-    if (fields_[5] == "1") {
+    if (row_.initial) {
       have_buffered_row_ = true;
       break;
     }
+    QNET_CHECK(row_.task == next_task_, "visit row of another task (expected task ",
+               next_task_, "): ", line_);
+    QNET_CHECK(row_.queue >= 1 && row_.queue < num_queues_, "queue id outside [1, ",
+               num_queues_, ") in row: ", line_);
+    QNET_CHECK(std::isfinite(row_.arrival) && std::isfinite(row_.departure),
+               "non-finite visit time in row: ", line_);
+    QNET_CHECK(row_.departure >= row_.arrival, "departure before arrival in row: ", line_);
+    // The tolerance and the comparison are EventLog::AddVisit's continuity check.
+    QNET_CHECK(std::abs(row_.arrival - previous_departure) < 1e-9,
+               out.visits.empty() ? "first visit does not arrive at the entry time"
+                                  : "visit does not arrive when its predecessor departs",
+               " in row: ", line_);
+    previous_departure = row_.departure;
     TaskVisit visit;
-    visit.state = ParseCsvInt(fields_[1], line_);
-    visit.queue = ParseCsvInt(fields_[2], line_);
-    visit.arrival = ParseCsvDouble(fields_[3], line_);
-    visit.departure = ParseCsvDouble(fields_[4], line_);
+    visit.state = row_.state;
+    visit.queue = row_.queue;
+    visit.arrival = row_.arrival;
+    visit.departure = row_.departure;
     const auto [arrival_observed, departure_observed] = NextObsFlags();
     visit.arrival_observed = arrival_observed;
     visit.departure_observed = departure_observed;

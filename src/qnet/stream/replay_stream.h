@@ -10,7 +10,11 @@
 // files pass num_queues explicitly. An optional observation CSV (WriteObservation
 // format) is consumed in lockstep — its rows are in event-id order, which is exactly the
 // log's row order — marking which times are observed; without it the replay is fully
-// observed.
+// observed. Rows go through the one CSV reader of trace/csv.h, and each record is
+// checked as it is read: a non-finite time, a departure before its arrival, a visit that
+// does not arrive when its predecessor (or, for the first visit, the task's entry)
+// departs (within EventLog::AddVisit's 1e-9), a visit row of another task, or a queue id
+// outside [1, N) raises Error quoting the row.
 
 #ifndef QNET_STREAM_REPLAY_STREAM_H_
 #define QNET_STREAM_REPLAY_STREAM_H_
@@ -20,10 +24,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "qnet/model/event.h"
 #include "qnet/obs/observation.h"
 #include "qnet/stream/task_record.h"
+#include "qnet/trace/csv.h"
 
 namespace qnet {
 
@@ -57,7 +65,7 @@ class CsvReplayStream : public TraceStream {
 
  private:
   void Init();
-  // Reads the next non-empty log row into fields_; false at EOF.
+  // Reads and parses the next log row into row_ / line_; false at EOF.
   bool NextLogRow();
   // Consumes the observation row for the current event id (if an obs stream is attached)
   // and returns its (arrival_observed, departure_observed) flags.
@@ -69,11 +77,13 @@ class CsvReplayStream : public TraceStream {
   std::istream* obs_is_;
   int num_queues_;
 
-  std::string line_;
-  std::vector<std::string> fields_;  // current log row, split
-  std::string obs_line_;
-  std::vector<std::string> obs_fields_;
-  bool have_buffered_row_ = false;   // fields_ holds the next task's initial row
+  // The row readers take over their streams once the header lines are read.
+  std::optional<CsvRowReader> log_rows_;
+  std::optional<CsvRowReader> obs_rows_;
+  std::vector<std::string_view> fields_;  // split scratch, shared by both streams
+  std::string_view line_;                 // current log row's text, for diagnostics
+  EventLogRow row_;                       // current log row, parsed
+  bool have_buffered_row_ = false;        // row_ is the next task's initial row
   long next_event_id_ = 0;
   int next_task_ = 0;
 };

@@ -1,6 +1,9 @@
 #include "qnet/stream/window_assembler.h"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <iterator>
 
 #include "qnet/support/check.h"
@@ -49,6 +52,50 @@ std::pair<EventLog, Observation> WindowLogBuilder::Finish() {
 
 // --- WindowSpanTracker -------------------------------------------------------------------
 
+namespace {
+
+// Exponent of the uniform-spacing run holding a positive finite x: its binade, with the
+// subnormals folded into the lowest normal binade (the spacing is 2^-1074 in both).
+int GridBinade(double x) { return std::max(std::ilogb(x), DBL_MIN_EXP - 1); }
+
+}  // namespace
+
+double AdvanceWindowGrid(double end, double duration, double bound) {
+  // `settled`: the step that produced `end` stayed inside end's binade. From such a
+  // point every further step that stays inside adds the same rounded increment: with
+  // spacing u and duration (m + f) * u, a non-tie f rounds every step by the same m or
+  // m + 1; a tie f = 1/2 rounds to an even multiple of u, and from an even multiple the
+  // even choice is always the same one of m and m + 1.
+  bool settled = false;
+  while (end <= bound) {
+    const double next = end + duration;
+    QNET_CHECK(next > end, "window grid stalls at t = ", end, ": a ", duration,
+               " s window duration no longer advances it (entry times reach ", bound, ")");
+    const int binade = GridBinade(end);
+    const bool inside = std::isfinite(next) && GridBinade(next) == binade;
+    if (settled && inside && next <= bound) {
+      // A step landing on y + increment <= top (the binade's largest value) has an exact
+      // sum below top + u/2, so it still rounds on spacing u and adds exactly
+      // `increment`. Take every such step that stays <= bound at once; counting in
+      // integer multiples of u keeps the count exact.
+      const double spacing = std::ldexp(1.0, binade - (DBL_MANT_DIG - 1));
+      const double top = std::ldexp(2.0 - DBL_EPSILON, binade);
+      const double limit = std::min(bound, top);
+      const double increment = next - end;
+      end = next;
+      if (limit > end) {
+        const auto room = static_cast<std::uint64_t>((limit - end) / spacing);
+        const auto step = static_cast<std::uint64_t>(increment / spacing);
+        end += static_cast<double>(room / step) * increment;
+      }
+    } else {
+      end = next;
+    }
+    settled = inside;
+  }
+  return end;
+}
+
 WindowSpanTracker::WindowSpanTracker(const WindowAssemblerOptions& options)
     : options_(options) {
   QNET_CHECK(options_.window_duration > 0.0, "window duration must be positive");
@@ -90,17 +137,15 @@ void WindowSpanTracker::TryCloseWindows() {
       // Too small: the window's span extends into the next duration (batch semantics).
       // Fast-forward over record-free durations without re-partitioning — nothing can
       // change until window_end passes another pending entry or the watermark. The
-      // repeated addition (rather than one multiply) keeps window_end bit-identical to
-      // the batch estimator's one-duration-at-a-time grid.
+      // grid of repeated additions (rather than one multiply) keeps window_end
+      // bit-identical to the batch estimator's one-duration-at-a-time grid.
       double bound = watermark;
       for (const double entry : pending_) {
         if (entry >= window_end_) {
           bound = std::min(bound, entry);
         }
       }
-      do {
-        window_end_ += options_.window_duration;
-      } while (window_end_ <= bound);
+      window_end_ = AdvanceWindowGrid(window_end_, options_.window_duration, bound);
       continue;
     }
     pending_.erase(pending_.begin(), in_window_end);

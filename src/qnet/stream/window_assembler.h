@@ -82,6 +82,17 @@ struct WindowAssemblerOptions {
   bool merge_trailing_window = true;
 };
 
+// Window ends lie on the grid d, d + d, (d + d) + d, ... of repeated floating-point
+// additions of the window duration d — the batch estimator's one-duration-at-a-time grid,
+// which is not k * d. Returns the first point past `bound` of the grid continued from
+// `end` (a grid point with end <= bound), bit-identical to adding `duration` one step at
+// a time but in O(binades) steps: inside one binade the rounded increment is constant
+// once a step has landed there, so those steps are taken at once in integer ulps. Throws
+// Error when the grid stalls before passing `bound` — end + duration == end, which a
+// finite duration reaches near 2^53 * duration — so a far-future or infinite entry time
+// fails instead of spinning forever.
+double AdvanceWindowGrid(double end, double duration, double bound);
+
 // The decision core of WindowAssembler: consumes entry times only and produces exactly
 // the close/extend/late/merge decisions the assembler makes — window spans, per-span
 // record counts, emission indices, and the trailing-merge/tail-drop outcome — without

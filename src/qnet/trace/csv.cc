@@ -1,68 +1,140 @@
 #include "qnet/trace/csv.h"
 
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <system_error>
 
 #include "qnet/support/check.h"
 
 namespace qnet {
 
-void SplitCsvLine(const std::string& line, std::vector<std::string>& fields) {
-  fields.clear();
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      fields.push_back(line.substr(start));
-      return;
-    }
-    fields.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
 namespace {
 
-template <typename Parse>
-auto ParseCsvNumber(const std::string& field, const std::string& line, Parse parse) {
-  try {
-    std::size_t pos = 0;
-    const auto value = parse(field, &pos);
-    QNET_CHECK(pos == field.size(), "bad numeric field '", field, "' in row: ", line);
-    return value;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    internal::CheckFail("numeric CSV field", __FILE__, __LINE__,
-                        internal::BuildMessage("bad numeric field '", field,
-                                               "' in row: ", line));
-  }
+// Block size of CsvRowReader reads: large enough that refills are rare against the
+// per-row parse cost, small enough to stay in L2.
+constexpr std::size_t kCsvBlockBytes = std::size_t{1} << 16;
+
+template <typename T>
+T ParseCsvNumber(std::string_view field, std::string_view row) {
+  T value{};
+  const char* const end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  QNET_CHECK(ec == std::errc() && ptr == end, "bad numeric field '", field,
+             "' in row: ", row);
+  return value;
 }
+
+bool IsFlag(std::string_view field) { return field == "0" || field == "1"; }
 
 }  // namespace
 
-int ParseCsvInt(const std::string& field, const std::string& line) {
-  return ParseCsvNumber(field, line,
-                        [](const std::string& s, std::size_t* pos) { return std::stoi(s, pos); });
+CsvRowReader::CsvRowReader(std::istream& is) : source_(is.rdbuf()) {}
+
+bool CsvRowReader::Next(std::string_view& row) {
+  while (true) {
+    const char* const data = buffer_.data();
+    const auto* newline =
+        begin_ < end_
+            ? static_cast<const char*>(std::memchr(data + begin_, '\n', end_ - begin_))
+            : nullptr;
+    if (newline != nullptr) {
+      row = std::string_view(data + begin_, static_cast<std::size_t>(newline - data) - begin_);
+      begin_ = static_cast<std::size_t>(newline - data) + 1;
+      if (row.empty()) {
+        continue;
+      }
+      return true;
+    }
+    if (exhausted_) {
+      if (begin_ == end_) {
+        return false;
+      }
+      row = std::string_view(data + begin_, end_ - begin_);  // last row, no '\n'
+      begin_ = end_;
+      return true;
+    }
+    Refill();
+  }
 }
 
-long ParseCsvLong(const std::string& field, const std::string& line) {
-  return ParseCsvNumber(field, line,
-                        [](const std::string& s, std::size_t* pos) { return std::stol(s, pos); });
+void CsvRowReader::Refill() {
+  const std::size_t tail = end_ - begin_;
+  if (buffer_.empty()) {
+    buffer_.resize(kCsvBlockBytes);
+  } else if (tail == buffer_.size()) {
+    buffer_.resize(2 * buffer_.size());  // one row fills the whole buffer
+  }
+  if (begin_ > 0) {
+    std::memmove(buffer_.data(), buffer_.data() + begin_, tail);
+    begin_ = 0;
+    end_ = tail;
+  }
+  const std::streamsize got = source_->sgetn(
+      buffer_.data() + end_, static_cast<std::streamsize>(buffer_.size() - end_));
+  if (got <= 0) {
+    exhausted_ = true;
+    return;
+  }
+  end_ += static_cast<std::size_t>(got);
 }
 
-double ParseCsvDouble(const std::string& field, const std::string& line) {
-  return ParseCsvNumber(field, line,
-                        [](const std::string& s, std::size_t* pos) { return std::stod(s, pos); });
+void SplitCsvRow(std::string_view row, std::vector<std::string_view>& fields,
+                 char separator) {
+  fields.clear();
+  while (true) {
+    const std::size_t at = row.find(separator);
+    if (at == std::string_view::npos) {
+      fields.push_back(row);
+      return;
+    }
+    fields.push_back(row.substr(0, at));
+    row.remove_prefix(at + 1);
+  }
 }
 
-std::uint64_t ParseCsvU64(const std::string& field, const std::string& line) {
-  QNET_CHECK(field.empty() || field[0] != '-', "bad numeric field '", field,
-             "' in row: ", line);
-  return ParseCsvNumber(field, line, [](const std::string& s, std::size_t* pos) {
-    return std::stoull(s, pos);
-  });
+int ParseCsvInt(std::string_view field, std::string_view row) {
+  return ParseCsvNumber<int>(field, row);
+}
+
+long ParseCsvLong(std::string_view field, std::string_view row) {
+  return ParseCsvNumber<long>(field, row);
+}
+
+double ParseCsvDouble(std::string_view field, std::string_view row) {
+  return ParseCsvNumber<double>(field, row);
+}
+
+std::uint64_t ParseCsvU64(std::string_view field, std::string_view row) {
+  return ParseCsvNumber<std::uint64_t>(field, row);
+}
+
+EventLogRow ParseEventLogRow(std::string_view row, std::vector<std::string_view>& fields) {
+  SplitCsvRow(row, fields);
+  QNET_CHECK(fields.size() == 6, "bad event-log row: ", row);
+  QNET_CHECK(IsFlag(fields[5]), "bad initial flag in row: ", row);
+  EventLogRow parsed;
+  parsed.task = ParseCsvInt(fields[0], row);
+  parsed.state = ParseCsvInt(fields[1], row);
+  parsed.queue = ParseCsvInt(fields[2], row);
+  parsed.arrival = ParseCsvDouble(fields[3], row);
+  parsed.departure = ParseCsvDouble(fields[4], row);
+  parsed.initial = fields[5] == "1";
+  return parsed;
+}
+
+ObservationRow ParseObservationRow(std::string_view row,
+                                   std::vector<std::string_view>& fields) {
+  SplitCsvRow(row, fields);
+  QNET_CHECK(fields.size() == 3, "bad observation row: ", row);
+  QNET_CHECK(IsFlag(fields[1]) && IsFlag(fields[2]), "bad observation flags in row: ", row);
+  ObservationRow parsed;
+  parsed.event = ParseCsvLong(fields[0], row);
+  parsed.arrival_observed = fields[1] == "1";
+  parsed.departure_observed = fields[2] == "1";
+  return parsed;
 }
 
 std::string ReadCsvMetaLine(std::istream& is, const std::string& key,
@@ -107,7 +179,7 @@ int ReadEventLogHeader(std::istream& is, int num_queues) {
       digits = digits && c >= '0' && c <= '9';
     }
     QNET_CHECK(digits, "bad queues header: ", line);
-    const int header_queues = std::stoi(value);
+    const int header_queues = ParseCsvInt(value, line);
     QNET_CHECK(header_queues > 0, "bad queues header: ", line);
     QNET_CHECK(num_queues < 0 || num_queues == header_queues,
                "num_queues mismatch: caller says ", num_queues, ", header says ",
@@ -123,29 +195,19 @@ int ReadEventLogHeader(std::istream& is, int num_queues) {
 
 EventLog ReadEventLog(std::istream& is, int num_queues) {
   num_queues = ReadEventLogHeader(is, num_queues);
-  std::string line;
-  std::vector<std::string> fields;
   EventLog log(num_queues);
+  CsvRowReader rows(is);
+  std::string_view row;
+  std::vector<std::string_view> fields;
   int current_task = -1;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    SplitCsvLine(line, fields);
-    QNET_CHECK(fields.size() == 6, "bad event-log row: ", line);
-    QNET_CHECK(fields[5] == "0" || fields[5] == "1", "bad initial flag in row: ", line);
-    const int task = ParseCsvInt(fields[0], line);
-    const int state = ParseCsvInt(fields[1], line);
-    const int queue = ParseCsvInt(fields[2], line);
-    const double arrival = ParseCsvDouble(fields[3], line);
-    const double departure = ParseCsvDouble(fields[4], line);
-    const bool initial = fields[5] == "1";
-    if (initial) {
-      QNET_CHECK(task == current_task + 1, "tasks out of order at row: ", line);
-      current_task = log.AddTask(departure);
-      QNET_CHECK(current_task == task, "task renumbering mismatch");
+  while (rows.Next(row)) {
+    const EventLogRow event = ParseEventLogRow(row, fields);
+    if (event.initial) {
+      QNET_CHECK(event.task == current_task + 1, "tasks out of order at row: ", row);
+      current_task = log.AddTask(event.departure);
+      QNET_CHECK(current_task == event.task, "task renumbering mismatch");
     } else {
-      log.AddVisit(task, state, queue, arrival, departure);
+      log.AddVisit(event.task, event.state, event.queue, event.arrival, event.departure);
     }
   }
   log.BuildQueueLinks();
@@ -172,28 +234,26 @@ void WriteObservation(std::ostream& os, const Observation& obs) {
   }
 }
 
-Observation ReadObservation(std::istream& is, const EventLog& log) {
+void ReadObservationHeader(std::istream& is) {
   std::string line;
   QNET_CHECK(static_cast<bool>(std::getline(is, line)), "empty observation stream");
   QNET_CHECK(line.rfind("event,", 0) == 0, "missing observation header");
+}
+
+Observation ReadObservation(std::istream& is, const EventLog& log) {
+  ReadObservationHeader(is);
   Observation obs;
   obs.arrival_observed.assign(log.NumEvents(), 0);
   obs.departure_observed.assign(log.NumEvents(), 0);
-  std::vector<std::string> fields;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    SplitCsvLine(line, fields);
-    QNET_CHECK(fields.size() == 3, "bad observation row: ", line);
-    QNET_CHECK((fields[1] == "0" || fields[1] == "1") &&
-                   (fields[2] == "0" || fields[2] == "1"),
-               "bad observation flags in row: ", line);
-    const long event = ParseCsvLong(fields[0], line);
-    const auto e = static_cast<std::size_t>(event);
-    QNET_CHECK(event >= 0 && e < log.NumEvents(), "event id out of range: ", line);
-    obs.arrival_observed[e] = fields[1] == "1" ? 1 : 0;
-    obs.departure_observed[e] = fields[2] == "1" ? 1 : 0;
+  CsvRowReader rows(is);
+  std::string_view row;
+  std::vector<std::string_view> fields;
+  while (rows.Next(row)) {
+    const ObservationRow flags = ParseObservationRow(row, fields);
+    const auto e = static_cast<std::size_t>(flags.event);
+    QNET_CHECK(flags.event >= 0 && e < log.NumEvents(), "event id out of range: ", row);
+    obs.arrival_observed[e] = flags.arrival_observed ? 1 : 0;
+    obs.departure_observed[e] = flags.departure_observed ? 1 : 0;
   }
   obs.Validate(log);
   return obs;

@@ -2,7 +2,7 @@
 
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "qnet/support/check.h"
@@ -16,8 +16,8 @@ void WriteBand(std::ostream& os, const MetricBand& band) {
   os << ',' << band.mean << ',' << band.lo << ',' << band.hi;
 }
 
-MetricBand ReadBand(const std::vector<std::string>& fields, std::size_t& at,
-                    const std::string& line) {
+MetricBand ReadBand(const std::vector<std::string_view>& fields, std::size_t& at,
+                    std::string_view line) {
   MetricBand band;
   band.mean = ParseCsvDouble(fields[at++], line);
   band.lo = ParseCsvDouble(fields[at++], line);
@@ -90,9 +90,11 @@ ScenarioReport ReadScenarioReport(std::istream& is) {
   ScenarioReport report;
   report.num_queues = ParseCsvInt(ReadCsvMetaLine(is, "queues", "scenario report"), "# queues");
   QNET_CHECK(report.num_queues >= 2, "bad queue count in scenario report");
+  std::vector<std::string_view> fields;
   const std::string axes = ReadCsvMetaLine(is, "axes", "scenario report");
   if (!axes.empty()) {
-    SplitCsvLine(axes, report.axis_names);
+    SplitCsvRow(axes, fields);
+    report.axis_names.assign(fields.begin(), fields.end());
   }
   const std::size_t num_cells =
       static_cast<std::size_t>(ParseCsvLong(ReadCsvMetaLine(is, "cells", "scenario report"), "# cells"));
@@ -102,21 +104,19 @@ ScenarioReport ReadScenarioReport(std::istream& is) {
       ParseCsvLong(ReadCsvMetaLine(is, "tasks_per_draw", "scenario report"), "# tasks_per_draw"));
   report.seed = ParseCsvU64(ReadCsvMetaLine(is, "seed", "scenario report"), "# seed");
 
-  std::string line;
-  QNET_CHECK(static_cast<bool>(std::getline(is, line)), "missing scenario-report header");
-  QNET_CHECK(line.rfind("cell,", 0) == 0 || line == "cell",
-             "missing scenario-report column header, got: ", line);
+  std::string header;
+  QNET_CHECK(static_cast<bool>(std::getline(is, header)), "missing scenario-report header");
+  QNET_CHECK(header.rfind("cell,", 0) == 0 || header == "cell",
+             "missing scenario-report column header, got: ", header);
 
   const std::size_t num_axes = report.axis_names.size();
   const auto real_queues = static_cast<std::size_t>(report.num_queues - 1);
   const std::size_t expected_fields = 1 + num_axes + 6 + 5 + 6 * real_queues;
-  std::vector<std::string> fields;
-  std::vector<std::string> ranking_fields;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    SplitCsvLine(line, fields);
+  std::vector<std::string_view> ranking_fields;
+  CsvRowReader rows(is);
+  std::string_view line;
+  while (rows.Next(line)) {
+    SplitCsvRow(line, fields);
     QNET_CHECK(fields.size() == expected_fields, "bad scenario-report row (want ",
                expected_fields, " fields, got ", fields.size(), "): ", line);
     CellResult cell;
@@ -130,18 +130,12 @@ ScenarioReport ReadScenarioReport(std::istream& is) {
     cell.mean_response = ReadBand(fields, at, line);
     cell.tail_response = ReadBand(fields, at, line);
     cell.bottleneck_queue = ParseCsvInt(fields[at++], line);
-    const std::string ranking = fields[at++];
+    const std::string_view ranking = fields[at++];
     QNET_CHECK(!ranking.empty(), "empty bottleneck ranking in row: ", line);
-    std::string semicolons = ranking;
-    for (char& c : semicolons) {
-      if (c == ';') {
-        c = ',';
-      }
-    }
-    SplitCsvLine(semicolons, ranking_fields);
+    SplitCsvRow(ranking, ranking_fields, ';');
     QNET_CHECK(ranking_fields.size() == real_queues, "ranking length mismatch in row: ",
                line);
-    for (const std::string& r : ranking_fields) {
+    for (const std::string_view r : ranking_fields) {
       cell.bottleneck_ranking.push_back(ParseCsvInt(r, line));
     }
     QNET_CHECK(fields[at] == "0" || fields[at] == "1", "bad analytic_valid flag: ", line);

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "qnet/support/check.h"
 #include "qnet/trace/csv.h"
@@ -61,16 +62,13 @@ std::vector<WindowEstimate> ReadWindowEstimates(std::istream& is) {
   // so a hostile count fails as a truncated file, not as an allocation.
   std::vector<WindowEstimate> estimates;
   const std::size_t queues = static_cast<std::size_t>(num_queues);
-  std::string line;
-  std::vector<std::string> fields;
+  CsvRowReader rows(is);
+  std::string_view line;
+  std::vector<std::string_view> fields;
   while (static_cast<long>(estimates.size()) < windows) {
-    QNET_CHECK(static_cast<bool>(std::getline(is, line)),
-               "truncated window-estimate CSV: expected ", windows, " rows, got ",
-               estimates.size());
-    if (line.empty()) {
-      continue;
-    }
-    SplitCsvLine(line, fields);
+    QNET_CHECK(rows.Next(line), "truncated window-estimate CSV: expected ", windows,
+               " rows, got ", estimates.size());
+    SplitCsvRow(line, fields);
     // Rows carry 7 (legacy, pre-alerts) or 8 leading metadata fields, then Q rates and
     // optionally Q waits. For Q >= 2 the four counts are pairwise distinct, so the
     // column count identifies both the format generation and the wait presence.

@@ -5,6 +5,8 @@
 // geometry gathers, FunctionRef slice callbacks) so a regression that reintroduces a heap
 // allocation per move fails CI instead of just slowing the benchmarks.
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "support/counting_allocator.h"
@@ -18,9 +20,11 @@
 #include "qnet/obs/observation.h"
 #include "qnet/sim/sim_scratch.h"
 #include "qnet/sim/simulator.h"
+#include "qnet/stream/replay_stream.h"
 #include "qnet/support/rng.h"
 #include "qnet/telemetry/metrics.h"
 #include "qnet/telemetry/timeline.h"
+#include "qnet/trace/csv.h"
 
 namespace qnet {
 namespace {
@@ -355,6 +359,29 @@ TEST(AllocFree, GeneralGibbsSweepDoesNotAllocate) {
     sampler.Sweep(rng);
   }
   EXPECT_EQ(AllocationCount(), before);
+}
+
+TEST(AllocFree, WarmCsvReplayStreamAllocatesNothingPerRecord) {
+  // Rows are views into the reader's reused block buffer and fields are parsed in place,
+  // so once the first record has sized the buffers and the visit vector, reading the rest
+  // of the trace (log and observation CSV in lockstep) allocates nothing.
+  const Fixture fixture = MakeFixture();
+  std::ostringstream log_os;
+  std::ostringstream obs_os;
+  WriteEventLog(log_os, fixture.truth);
+  WriteObservation(obs_os, fixture.obs);
+  std::istringstream log_is(log_os.str());
+  std::istringstream obs_is(obs_os.str());
+  CsvReplayStream stream(log_is, -1, &obs_is);
+  TaskRecord record;
+  ASSERT_TRUE(stream.Next(record));
+  int tasks = 1;
+  const std::size_t before = AllocationCount();
+  while (stream.Next(record)) {
+    ++tasks;
+  }
+  EXPECT_EQ(AllocationCount(), before);
+  EXPECT_EQ(tasks, fixture.truth.NumTasks());
 }
 
 }  // namespace

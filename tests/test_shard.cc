@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/csv_corpora.h"
 #include "support/vector_stream.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
@@ -875,31 +876,8 @@ TEST(WindowCsv, ByteMutationsNeverCrashAndNeverYieldAnImpossibleEstimate) {
   // exception fails the test.
   constexpr int kQueues = 3;
   Rng rng(31);
-  std::vector<WindowEstimate> estimates(8);
-  double t = 0.0;
-  for (std::size_t w = 0; w < estimates.size(); ++w) {
-    WindowEstimate& estimate = estimates[w];
-    estimate.t0 = t;
-    t += 10.0 + rng.Uniform();
-    estimate.t1 = t;
-    estimate.tasks = 90 + rng.NextU64() % 20;
-    estimate.merged_tail_tasks = w + 1 == estimates.size() ? 17 : 0;
-    estimate.window_local_arrival_rate = w % 2 == 0;
-    estimate.degraded = w % 3 == 0;
-    estimate.fit_iterations = estimate.degraded ? 0 : 20;
-    estimate.alerts = w == 4 ? 0x5u : 0u;
-    for (int q = 0; q < kQueues; ++q) {
-      estimate.rates.push_back(5.0 + 10.0 * rng.Uniform());
-      if (w % 2 == 1) {
-        estimate.mean_wait.push_back(0.1 * rng.Uniform());
-      }
-    }
-  }
-  std::ostringstream written;
-  WriteWindowEstimates(written, estimates, kQueues);
-  const std::string valid = written.str();
+  const std::string valid = qnet_testing::WindowEstimateCorpusText(rng);
 
-  static constexpr char kAlphabet[] = "0123456789.,-+eE\n #ainf";
   constexpr int kMutations = 20000;
   int accepted = 0;
   int rejected = 0;
@@ -907,11 +885,7 @@ TEST(WindowCsv, ByteMutationsNeverCrashAndNeverYieldAnImpossibleEstimate) {
   std::string mutated;
   for (int i = 0; i < kMutations; ++i) {
     mutated = valid;
-    const std::uint64_t at = rng.NextU64() % mutated.size();
-    const std::uint64_t pick = rng.NextU64();
-    // Mostly CSV-shaped bytes (digits, separators, exponents), sometimes any byte.
-    mutated[at] = pick % 4 == 0 ? static_cast<char>(pick >> 8)
-                                : kAlphabet[(pick >> 8) % (sizeof(kAlphabet) - 1)];
+    qnet_testing::MutateOneByte(mutated, rng, qnet_testing::kWindowCsvMutationAlphabet);
     std::istringstream is(mutated);
     try {
       const std::vector<WindowEstimate> parsed = ReadWindowEstimates(is);

@@ -7,11 +7,17 @@
 // TaskRecords must equal the ones the ExtractTaskWindow oracle (support/) builds from
 // the batch log.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "support/csv_corpora.h"
 #include "support/extract_task_window.h"
 #include "support/vector_stream.h"
 #include "qnet/infer/stem.h"
@@ -323,6 +329,127 @@ TEST(CsvReplayStream, HeaderlessFilesNeedExplicitNumQueues) {
   // A wrong explicit count contradicting the header is rejected.
   std::stringstream with_header2(all);
   EXPECT_THROW(CsvReplayStream(with_header2, f.truth.NumQueues() + 1), Error);
+}
+
+// Reads `log_text` (and `obs_text`, if non-empty) through a CsvReplayStream to the end.
+std::size_t ReplayAllTasks(const std::string& log_text, const std::string& obs_text = "") {
+  std::istringstream log_is(log_text);
+  std::istringstream obs_is(obs_text);
+  CsvReplayStream stream(log_is, -1, obs_text.empty() ? nullptr : &obs_is);
+  TaskRecord record;
+  std::size_t tasks = 0;
+  while (stream.Next(record)) {
+    ++tasks;
+  }
+  return tasks;
+}
+
+// Expects ReplayAllTasks to raise Error whose message quotes `row`.
+void ExpectRowRejected(const std::string& log_text, const std::string& row) {
+  try {
+    ReplayAllTasks(log_text);
+    ADD_FAILURE() << "accepted:\n" << log_text;
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find(row), std::string::npos) << error.what();
+  }
+}
+
+TEST(CsvReplayStream, RejectsImpossibleRecordsAtReadTime) {
+  const std::string header = "# queues=3\ntask,state,queue,arrival,departure,initial\n";
+  // A valid two-visit task, then each check's violation in a second task.
+  const std::string valid = header + "0,-1,0,0,1,1\n0,0,1,1,2,0\n0,1,2,2,3.5,0\n";
+  EXPECT_EQ(ReplayAllTasks(valid), 1u);
+  // Non-finite entry, arrival and departure times.
+  ExpectRowRejected(valid + "1,-1,0,0,inf,1\n1,0,1,inf,inf,0\n", "1,-1,0,0,inf,1");
+  ExpectRowRejected(valid + "1,-1,0,0,nan,1\n1,0,1,nan,5,0\n", "1,-1,0,0,nan,1");
+  ExpectRowRejected(valid + "1,-1,0,0,4,1\n1,0,1,4,nan,0\n", "1,0,1,4,nan,0");
+  ExpectRowRejected(valid + "1,-1,0,0,4,1\n1,0,1,4,-inf,0\n", "1,0,1,4,-inf,0");
+  // Departure before arrival.
+  ExpectRowRejected(valid + "1,-1,0,0,4,1\n1,0,1,4,3,0\n", "1,0,1,4,3,0");
+  // A first visit that does not arrive at the entry time.
+  ExpectRowRejected(valid + "1,-1,0,0,4,1\n1,0,1,4.5,5,0\n", "1,0,1,4.5,5,0");
+  // A visit that does not arrive when its predecessor departs; within 1e-9 is continuity.
+  ExpectRowRejected(valid + "1,-1,0,0,4,1\n1,0,1,4,5,0\n1,1,2,5.25,6,0\n", "1,1,2,5.25,6,0");
+  EXPECT_EQ(ReplayAllTasks(valid + "1,-1,0,0,4,1\n1,0,1,4,5,0\n1,1,2,5.0000000001,6,0\n"), 2u);
+  // Queue ids outside [1, N): the arrival queue, N, and negative.
+  ExpectRowRejected(valid + "1,-1,0,0,4,1\n1,0,0,4,5,0\n", "1,0,0,4,5,0");
+  ExpectRowRejected(valid + "1,-1,0,0,4,1\n1,0,3,4,5,0\n", "1,0,3,4,5,0");
+  ExpectRowRejected(valid + "1,-1,0,0,4,1\n1,0,-2,4,5,0\n", "1,0,-2,4,5,0");
+  // A visit row of another task.
+  ExpectRowRejected(valid + "1,-1,0,0,4,1\n0,0,1,4,5,0\n", "0,0,1,4,5,0");
+  // Malformed fields of the initial row are rejected too, as ReadEventLog does.
+  ExpectRowRejected(valid + "1,x,0,0,4,1\n1,0,1,4,5,0\n", "1,x,0,0,4,1");
+  // CRLF rows keep their '\r', which no initial flag or number accepts.
+  ExpectRowRejected(header + "0,-1,0,0,1,1\r\n0,0,1,1,2,0\r\n", "0,-1,0,0,1,1");
+}
+
+TEST(CsvReplayStream, ReadsRowsSplitAcrossBlankLinesAndAFinalRowWithoutNewline) {
+  const Fixture f(0.4, 30);
+  std::stringstream log_csv;
+  std::stringstream obs_csv;
+  WriteEventLog(log_csv, f.truth);
+  WriteObservation(obs_csv, f.obs);
+  const std::string log_text = log_csv.str();
+  std::string obs_text = obs_csv.str();
+  // Blank lines after every data row, and no final newline on either file.
+  const std::size_t body = log_text.find('\n', log_text.find("task,")) + 1;
+  std::string spaced = log_text.substr(0, body);
+  for (const char c : log_text.substr(body)) {
+    spaced += c;
+    if (c == '\n') {
+      spaced += "\n\n";
+    }
+  }
+  while (spaced.back() == '\n') {
+    spaced.pop_back();
+  }
+  obs_text.pop_back();
+  EXPECT_EQ(ReplayAllTasks(spaced, obs_text), static_cast<std::size_t>(f.truth.NumTasks()));
+}
+
+TEST(CsvReplayStream, ByteMutationsThroughTheEstimatorRaiseOnlyQnetErrors) {
+  // Seeded single-byte mutations of a log and its observation CSV, replayed through a
+  // mean-field StreamingEstimator: every case completes or raises qnet::Error (no other
+  // exception, no crash; a hang trips the test timeout).
+  const Fixture f(0.4, 32, 41);
+  std::ostringstream log_os;
+  std::ostringstream obs_os;
+  WriteEventLog(log_os, f.truth);
+  WriteObservation(obs_os, f.obs);
+  const std::string log_text = log_os.str();
+  const std::string obs_text = obs_os.str();
+  StreamingEstimatorOptions options;
+  options.window.window_duration = 2.0;
+  options.fast_path = FastPathMode::kMeanFieldOnly;
+  const std::vector<double> init = {4.0, 1.0, 1.0};
+
+  Rng rng(43);
+  constexpr int kMutations = 20000;
+  int completed = 0;
+  int rejected = 0;
+  std::string log_mutated;
+  std::string obs_mutated;
+  for (int i = 0; i < kMutations; ++i) {
+    log_mutated = log_text;
+    obs_mutated = obs_text;
+    qnet_testing::MutateOneByte(i % 2 == 0 ? log_mutated : obs_mutated, rng,
+                                qnet_testing::kWindowCsvMutationAlphabet);
+    try {
+      std::istringstream log_is(log_mutated);
+      std::istringstream obs_is(obs_mutated);
+      CsvReplayStream stream(log_is, -1, &obs_is);
+      StreamingEstimator estimator(init, 5, options);
+      estimator.Run(stream);
+      ++completed;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "non-qnet exception " << error.what() << " on mutation " << i;
+    }
+  }
+  EXPECT_EQ(completed + rejected, kMutations);
+  EXPECT_GT(completed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // --- WindowAssembler -------------------------------------------------------------------
@@ -1249,6 +1376,110 @@ TEST(LiveSimStream, ArrivalScaleSegmentsModulateTheLoad) {
   EXPECT_NEAR(static_cast<double>(middle), 1200.0, 200.0);
   EXPECT_GT(middle, 2 * early);
   EXPECT_GT(middle, 2 * late);
+}
+
+// --- Window grid: far-future entry times ------------------------------------------------
+
+// The one-duration-at-a-time loop AdvanceWindowGrid replaces; nullopt if it stalls.
+std::optional<double> StepGrid(double end, double duration, double bound) {
+  while (end <= bound) {
+    const double next = end + duration;
+    if (!(next > end)) {
+      return std::nullopt;
+    }
+    end = next;
+  }
+  return end;
+}
+
+TEST(WindowGrid, AdvanceMatchesOneStepAtATimeBitForBit) {
+  Rng rng(97);
+  int compared = 0;
+  int stalled = 0;
+  for (int c = 0; c < 3000; ++c) {
+    double duration = 0.0;
+    double end = 0.0;
+    switch (c % 4) {
+      case 0:  // the grid from its origin, over many binades
+        duration = std::ldexp(0.5 + rng.Uniform(), static_cast<int>(rng.NextU64() % 40) - 20);
+        end = duration;
+        break;
+      case 1: {  // a far start, duration a multiple of its spacing plus a tie or a fraction
+        end = std::ldexp(1.0 + rng.Uniform(), static_cast<int>(rng.NextU64() % 80));
+        const double spacing = std::nextafter(end, INFINITY) - end;
+        static constexpr double kFractions[] = {0.0, 0.25, 0.5, 0.75};
+        duration = (static_cast<double>(rng.NextU64() % 4) + kFractions[rng.NextU64() % 4]) *
+                   spacing;
+        if (duration == 0.0) {
+          duration = spacing;
+        }
+        break;
+      }
+      case 2:  // round decimal durations from a start on their grid
+        duration = std::vector<double>{10.0, 0.1, 1.0 / 3.0, 7.25, 1e-3, 86400.0}[c % 6];
+        end = duration;
+        for (int k = static_cast<int>(rng.NextU64() % 1000); k > 0; --k) {
+          end += duration;
+        }
+        break;
+      default:  // subnormal durations and starts
+        duration = std::ldexp(1.0 + static_cast<double>(rng.NextU64() % 8), -1074);
+        end = duration * static_cast<double>(1 + rng.NextU64() % 100);
+        break;
+    }
+    const double steps = 1.0 + static_cast<double>(rng.NextU64() % 100000);
+    const double bound = end + steps * duration * (0.5 + rng.Uniform());
+    const std::optional<double> expected = StepGrid(end, duration, bound);
+    if (expected) {
+      ++compared;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(AdvanceWindowGrid(end, duration, bound)),
+                std::bit_cast<std::uint64_t>(*expected))
+          << "end " << end << " duration " << duration << " bound " << bound;
+    } else {
+      ++stalled;
+      EXPECT_THROW(AdvanceWindowGrid(end, duration, bound), Error)
+          << "end " << end << " duration " << duration << " bound " << bound;
+    }
+  }
+  EXPECT_GT(compared, 2000);
+  EXPECT_GT(stalled, 0);
+}
+
+TEST(WindowGrid, StallsRaiseErrorInsteadOfSpinning) {
+  // 10 s windows stop advancing near 2^53 * 10 ~ 9e16.
+  EXPECT_THROW(AdvanceWindowGrid(10.0, 10.0, 1e18), Error);
+  EXPECT_THROW(AdvanceWindowGrid(10.0, 10.0, 1e300), Error);
+  EXPECT_THROW(AdvanceWindowGrid(10.0, 10.0, INFINITY), Error);
+  const double far = AdvanceWindowGrid(10.0, 10.0, 1e15);
+  EXPECT_GT(far, 1e15);
+  EXPECT_LE(far, 1e15 + 10.0);
+  EXPECT_EQ(AdvanceWindowGrid(10.0, 10.0, 35.0), 40.0);
+}
+
+TEST(StreamingEstimator, FarFutureEntryTimesCompleteOrRaiseInBoundedTime) {
+  // 39 records at t = 1..39 in 10 s windows, then one record far in the future. Before
+  // the grid advanced in binade steps, every case from 1e15 on spun in the empty-window
+  // skip; a time past the grid's stall point now raises Error, and 1e15 completes.
+  StreamingEstimatorOptions options;
+  options.window.window_duration = 10.0;
+  options.fast_path = FastPathMode::kMeanFieldOnly;
+  const auto run = [&](double far) {
+    std::vector<TaskRecord> records;
+    for (int t = 1; t <= 39; ++t) {
+      records.push_back(TinyRecord(static_cast<double>(t)));
+    }
+    records.push_back(TinyRecord(far));
+    qnet_testing::VectorStream stream(std::move(records), 2);
+    StreamingEstimator estimator({1.0, 50.0}, 3, options);
+    return estimator.Run(stream);
+  };
+  EXPECT_EQ(run(1e6).size(), 4u);
+  const std::vector<WindowEstimate> far = run(1e15);
+  ASSERT_EQ(far.size(), 4u);
+  EXPECT_EQ(far.back().merged_tail_tasks, 1u);
+  for (const double beyond : {1e18, 1e300, static_cast<double>(INFINITY)}) {
+    EXPECT_THROW(run(beyond), Error) << beyond;
+  }
 }
 
 }  // namespace
