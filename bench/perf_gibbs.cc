@@ -6,7 +6,7 @@
 //   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
 //   ./build/perf_gibbs --benchmark_format=json > BENCH_gibbs.json
 //   ./build/perf_gibbs --benchmark_filter='BM_GibbsSweep/500'   # the headline number
-// Headline metrics:
+// Rows:
 //   BM_GibbsSweep/N items_per_second   — latent arrival moves per second (N tasks,
 //                                        three-tier {1,2,4} fixture, 10% tasks observed;
 //                                        batched SoA kernel — the default sweep path);
@@ -16,17 +16,21 @@
 //                                        move-at-a-time reference kernel
 //                                        (batched_reference = true): identical buckets,
 //                                        identical lane streams, bit-identical states.
-//                                        CI gates the batched kernel's items_per_second
-//                                        against both scalar rows on the in-run A/B
-//                                        pairs (see .github/workflows/ci.yml);
-//   BM_ParallelChains/T draws_per_sec  — pooled post-burn-in draws per wall second with
-//                                        4 chains on T threads (scaling curve);
+//                                        CI gates BM_GibbsSweep/500 at >= 1.25x this
+//                                        row's items_per_second in the same run (see
+//                                        .github/workflows/ci.yml);
+//   BM_SingleArrivalMove               — one gather + exact-conditional arrival sample;
 //   BM_ShardedSweep/T items_per_second — one chain's colored sharded sweep on T worker
 //                                        threads (intra-chain scaling; bit-identical
 //                                        results across T by construction);
-//   BM_GibbsSweepAllocations allocs_per_sweep — global operator-new calls per sweep;
+//   BM_ShardedSweepAllocations, BM_GibbsSweepAllocations allocs_per_sweep,
+//   BM_SingleArrivalMoveAllocations allocs_per_move
+//                                      — global operator-new calls per sweep / move;
 //                                        must stay exactly 0 (see tests/test_alloc_free.cc
-//                                        for the hard assertion).
+//                                        for the hard assertion);
+//   BM_ParallelChains/T draws_per_sec  — pooled post-burn-in draws per wall second with
+//                                        4 chains on T threads (scaling curve);
+//   BM_Initializer/N                   — the greedy feasible initializer on N tasks.
 
 #include <benchmark/benchmark.h>
 
@@ -37,7 +41,6 @@
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
 #include "qnet/infer/parallel_chains.h"
-#include "qnet/infer/route_mh.h"
 #include "qnet/model/builders.h"
 #include "qnet/obs/observation.h"
 #include "qnet/sim/simulator.h"
@@ -150,30 +153,6 @@ void BM_SingleArrivalMove(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SingleArrivalMove);
-
-void BM_RouteMhSweep(benchmark::State& state) {
-  const Fixture fixture = MakeFixture(500, 0.1);
-  qnet::Rng rng(15);
-  // Route-resample every event of every task (worst case).
-  std::vector<int> all_tasks;
-  for (int k = 0; k < fixture.truth.NumTasks(); ++k) {
-    all_tasks.push_back(k);
-  }
-  qnet::EventLog log = fixture.init;
-  const std::vector<qnet::EventId> latents = qnet::RouteLatentEvents(log, all_tasks);
-  qnet::ThreeTierConfig config;
-  config.tier_sizes = {1, 2, 4};
-  const qnet::QueueingNetwork net = qnet::MakeThreeTierNetwork(config);
-  std::size_t accepted = 0;
-  for (auto _ : state) {
-    accepted +=
-        qnet::RouteMhSweep(log, latents, net.GetFsm(), fixture.rates, rng).accepted;
-  }
-  benchmark::DoNotOptimize(accepted);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(latents.size()));
-}
-BENCHMARK(BM_RouteMhSweep)->Unit(benchmark::kMillisecond);
 
 // Intra-chain scaling: one chain's sweep on the colored sharded scheduler with
 // T = state.range(0) worker threads (4 logical shards, so results are bit-identical across

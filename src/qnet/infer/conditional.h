@@ -86,23 +86,12 @@ struct ArrivalMove {
 // queue (index 0 = lambda). CHECK-fails if e is an initial event.
 ArrivalMove GatherArrivalMove(const EventLog& log, EventId e, std::span<const double> rates);
 
-namespace conditional_detail {
-
-// Empty span = unit rates. Only the Gather*Geometry wrappers pass an empty span (so no
-// ones vector is ever materialized); the rate-taking entry points validate size up front.
-inline double RateAt(std::span<const double> rates, int queue) {
-  return rates.empty() ? 1.0 : rates[static_cast<std::size_t>(queue)];
-}
-
-}  // namespace conditional_detail
-
 // Inline gather core (rate-span size is the caller's responsibility — the batched kernel
 // validates once per bucket and then runs a whole tile of these back to back, letting the
 // compiler overlap the pointer chases of neighboring moves). GatherArrivalMove is this
 // plus a per-call size check.
 inline ArrivalMove GatherArrivalMoveUnchecked(const EventLog& log, EventId e,
                                               std::span<const double> rates) {
-  using conditional_detail::RateAt;
   // Inner-loop contract: every access below is *Unchecked (bounds DCHECK-only); this is
   // called once per latent coordinate per sweep.
   const Event& ev = log.AtUnchecked(e);
@@ -111,10 +100,10 @@ inline ArrivalMove GatherArrivalMoveUnchecked(const EventLog& log, EventId e,
   ArrivalMove move;
   move.event = e;
   move.d_e = ev.departure;
-  move.mu_e = RateAt(rates, ev.queue);
+  move.mu_e = rates[static_cast<std::size_t>(ev.queue)];
 
   const Event& pi = log.AtUnchecked(ev.pi);
-  move.mu_pi = RateAt(rates, pi.queue);
+  move.mu_pi = rates[static_cast<std::size_t>(pi.queue)];
   move.c_pi = log.BeginServiceUnchecked(ev.pi);
 
   move.rho_is_pi = (ev.rho == ev.pi);
@@ -147,11 +136,6 @@ inline ArrivalMove GatherArrivalMoveUnchecked(const EventLog& log, EventId e,
   move.upper = upper;
   return move;
 }
-
-// Geometry-only variant with all rates set to 1 (LogG is then not meaningful); used by the
-// general-service sampler, which evaluates its own densities on the same geometry.
-// Allocation-free: forwards an empty rate span instead of building a ones vector.
-ArrivalMove GatherArrivalGeometry(const EventLog& log, EventId e);
 
 // Emits the conditional's segments into any density sink with an
 // AddSegment(lo, hi, alpha, beta) surface — PiecewiseExpDensity for the scalar path, an
@@ -254,7 +238,7 @@ inline FinalDepartureMove GatherFinalDepartureMoveUnchecked(const EventLog& log,
              "event has a within-task successor; use the arrival move on tau instead");
   FinalDepartureMove move;
   move.event = e;
-  move.mu_e = conditional_detail::RateAt(rates, ev.queue);
+  move.mu_e = rates[static_cast<std::size_t>(ev.queue)];
   move.c_e = log.BeginServiceUnchecked(e);
   if (ev.nu != kNoEvent) {
     move.has_nu = true;
@@ -267,9 +251,6 @@ inline FinalDepartureMove GatherFinalDepartureMoveUnchecked(const EventLog& log,
   move.lower = move.c_e;
   return move;
 }
-
-// Geometry-only variant (rates set to 1), mirroring GatherArrivalGeometry.
-FinalDepartureMove GatherFinalDepartureGeometry(const EventLog& log, EventId e);
 
 // Segment emission for the final-departure conditional; see BuildArrivalSegmentsInto.
 template <typename Density>

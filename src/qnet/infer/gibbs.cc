@@ -44,12 +44,7 @@ ShardedSweepScheduler* GibbsSampler::EffectiveScheduler(bool build_batch_schedul
     options.shards = 1;
     options.threads = 1;
     batch_scheduler_ = std::make_unique<ShardedSweepScheduler>(state_, ScanMoves(), options);
-  } else if (batch_schedule_stale_) {
-    // MutableState() may have rerouted events since the last sweep; the move list is
-    // link-independent but the conflict coloring is not, so recolor before batching.
-    batch_scheduler_->Rebuild(state_, ScanMoves());
   }
-  batch_schedule_stale_ = false;
   return batch_scheduler_.get();
 }
 

@@ -64,15 +64,6 @@ class GibbsSampler {
                GibbsOptions options = {});
 
   const EventLog& State() const { return state_; }
-  // Mutating the state through this handle may change the link structure (e.g. route
-  // Metropolis-Hastings reassigning queues), so it marks the internal batched schedule
-  // stale; the next Sweep recolors it against the current links. Caller-supplied
-  // schedulers (EnableShardedSweeps / UseScheduler) keep their documented frozen-per-trace
-  // contract and are NOT rebuilt here.
-  EventLog& MutableState() {
-    batch_schedule_stale_ = true;
-    return state_;
-  }
 
   const std::vector<double>& Rates() const { return rates_; }
   // Copies into the existing rate buffer (the StEM loop calls this every iteration).
@@ -107,8 +98,7 @@ class GibbsSampler {
   // the per-queue sums from the cache in event-id order — bitwise the same totals as
   // EventLog::PerQueueServiceSum's full scan (same terms, same addition order), without
   // walking the event structs and their rho links per StEM iteration. Calling
-  // EnableSuffStatsTracking (again) resynchronizes the cache from the current state —
-  // required after mutating times through MutableState().
+  // EnableSuffStatsTracking (again) resynchronizes the cache from the current state.
   void EnableSuffStatsTracking();
   bool SuffStatsTrackingEnabled() const { return !service_cache_.empty(); }
   // sums.size() must equal the queue count. CHECK-fails unless tracking is enabled.
@@ -151,10 +141,9 @@ class GibbsSampler {
   std::unique_ptr<ShardedSweepScheduler> scheduler_;
   ShardedSweepScheduler* external_scheduler_ = nullptr;
   // Internal shards=1/threads=1 schedule for the default batched path; built on first
-  // use so non-batched samplers never pay for it, recolored when MutableState() may have
-  // changed the link structure out from under the coloring.
+  // use so non-batched samplers never pay for it. The links never change after
+  // construction, so the coloring stays valid for the sampler's lifetime.
   std::unique_ptr<ShardedSweepScheduler> batch_scheduler_;
-  bool batch_schedule_stale_ = false;
   // Per-event service times, kept coherent by move scatter when tracking is enabled.
   std::vector<double> service_cache_;
 };

@@ -153,7 +153,6 @@ StemResult StemEstimator::Run(const EventLog& truth, const Observation& obs,
     }
   }
 
-  result.final_state = gibbs.State();
   return result;
 }
 

@@ -11,7 +11,6 @@
 #define QNET_INFER_STEM_H_
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -82,8 +81,6 @@ struct StemResult {
   std::vector<double> mean_wait;
   // Rate trajectory, one vector per StEM iteration (for diagnostics).
   std::vector<std::vector<double>> rate_trace;
-  // Final latent state (the last Gibbs sample).
-  std::optional<EventLog> final_state;
 
   std::size_t latent_arrivals = 0;
   // StEM iterations actually executed (== rate_trace.size()); less than

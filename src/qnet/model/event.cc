@@ -125,51 +125,6 @@ void EventLog::BuildQueueLinks() {
   links_built_ = true;
 }
 
-void EventLog::MoveEventToQueue(EventId e, int new_queue) {
-  QNET_CHECK(links_built_, "queue links not built");
-  QNET_CHECK(new_queue >= 1 && new_queue < num_queues_, "bad queue id ", new_queue);
-  Event& ev = events_[Check(e)];
-  QNET_CHECK(!ev.initial, "initial events live on the virtual arrival queue");
-  if (ev.queue == new_queue) {
-    return;
-  }
-  // Unlink from the old queue's order.
-  auto& old_order = queue_order_[static_cast<std::size_t>(ev.queue)];
-  const auto it = std::find(old_order.begin(), old_order.end(), e);
-  QNET_CHECK(it != old_order.end(), "event missing from its queue order");
-  old_order.erase(it);
-  if (ev.rho != kNoEvent) {
-    events_[Check(ev.rho)].nu = ev.nu;
-  }
-  if (ev.nu != kNoEvent) {
-    events_[Check(ev.nu)].rho = ev.rho;
-  }
-  // Insert into the new queue's order by arrival time (ties by event id, matching
-  // BuildQueueLinks).
-  auto& new_order = queue_order_[static_cast<std::size_t>(new_queue)];
-  const auto pos = std::upper_bound(
-      new_order.begin(), new_order.end(), e, [this](EventId a, EventId b) {
-        const Event& ea = events_[Check(a)];
-        const Event& eb = events_[Check(b)];
-        if (ea.arrival != eb.arrival) {
-          return ea.arrival < eb.arrival;
-        }
-        return a < b;
-      });
-  const EventId next = (pos == new_order.end()) ? kNoEvent : *pos;
-  const EventId prev = (pos == new_order.begin()) ? kNoEvent : *(pos - 1);
-  new_order.insert(pos, e);
-  ev.queue = new_queue;
-  ev.rho = prev;
-  ev.nu = next;
-  if (prev != kNoEvent) {
-    events_[Check(prev)].nu = e;
-  }
-  if (next != kNoEvent) {
-    events_[Check(next)].rho = e;
-  }
-}
-
 const Event& EventLog::At(EventId e) const { return events_[Check(e)]; }
 
 const std::vector<EventId>& EventLog::TaskEvents(int task) const {

@@ -125,17 +125,12 @@ class EventLog {
   EventId AddVisit(int task, int state, int queue, double arrival, double departure);
 
   // Establishes rho/nu links from the arrival order (ties broken by event id, which keeps
-  // queue-0 initial events in task order). Must be called once after construction; the
-  // inference code then treats the order as known and immutable.
+  // queue-0 initial events in task order). Must be called once after construction. After
+  // it, queue membership and per-queue order never change (the paper holds routes and the
+  // arrival order fixed): nothing reassigns an event's queue or splices a queue order, and
+  // samplers move only times, inside windows that preserve the order.
   void BuildQueueLinks();
   bool QueueLinksBuilt() const { return links_built_; }
-
-  // Reassigns event e to `new_queue`, splicing it out of its current queue's arrival order
-  // and into the new queue's order at the position given by its (unchanged) arrival time.
-  // Used by the Metropolis-Hastings route-resampling move (paper Section 3: resampling
-  // unknown FSM paths); the caller is responsible for accept/reject — this method only
-  // requires the new position to respect arrival order, not FIFO feasibility.
-  void MoveEventToQueue(EventId e, int new_queue);
 
   // --- Shape -------------------------------------------------------------------------
 

@@ -181,6 +181,8 @@ int ReadEventLogHeader(std::istream& is, int num_queues) {
     QNET_CHECK(digits, "bad queues header: ", line);
     const int header_queues = ParseCsvInt(value, line);
     QNET_CHECK(header_queues > 0, "bad queues header: ", line);
+    QNET_CHECK(header_queues <= kMaxEventLogQueues, "queues header above the limit of ",
+               kMaxEventLogQueues, ": ", line);
     QNET_CHECK(num_queues < 0 || num_queues == header_queues,
                "num_queues mismatch: caller says ", num_queues, ", header says ",
                header_queues);

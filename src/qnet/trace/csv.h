@@ -121,11 +121,18 @@ EventLog ReadEventLogFile(const std::string& path, int num_queues);
 std::string ReadCsvMetaLine(std::istream& is, const std::string& key,
                             const std::string& what);
 
+// The largest network a '# queues=N' header may declare. Readers size per-queue storage
+// from N before any row is read, so a hostile header must be rejected first. The cap is
+// far above any network the builders, examples or workloads make (the largest, the
+// perf_scaling three-tier network, has 49 queues), and per-queue storage at the cap is a
+// few MB.
+inline constexpr int kMaxEventLogQueues = 1 << 16;
+
 // Shared header step for event-log readers (ReadEventLog, CsvReplayStream): consumes the
 // optional '# queues=N' line plus the column-header line from `is`, reconciles N with the
 // caller-supplied num_queues (-1 = must come from the header, nonnegative = required to
 // match any header present), and returns the resolved queue count. Throws Error on
-// malformed headers.
+// malformed headers and on N above kMaxEventLogQueues.
 int ReadEventLogHeader(std::istream& is, int num_queues);
 
 // Consumes the observation column-header line; throws Error if it is missing.

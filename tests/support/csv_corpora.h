@@ -9,9 +9,11 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "qnet/model/builders.h"
+#include "qnet/obs/observation.h"
 #include "qnet/sim/simulator.h"
 #include "qnet/stream/streaming_estimator.h"
 #include "qnet/support/rng.h"
@@ -24,6 +26,8 @@ namespace qnet_testing {
 inline constexpr std::string_view kEventLogMutationAlphabet = "0123456789.,-+eE\n #";
 // The window-estimate corpus adds the letters of "nan" and "inf".
 inline constexpr std::string_view kWindowCsvMutationAlphabet = "0123456789.,-+eE\n #ainf";
+// The observation corpus: event ids, 0/1 flags and separators.
+inline constexpr std::string_view kObservationMutationAlphabet = "0123456789,-\n #";
 
 // Overwrites one byte of `text`: three times in four a byte of `alphabet`, otherwise any
 // byte.
@@ -34,14 +38,33 @@ inline void MutateOneByte(std::string& text, qnet::Rng& rng, std::string_view al
                            : alphabet[(pick >> 8) % alphabet.size()];
 }
 
-// The event-log corpus base: a 24-task two-stage tandem log, simulated from `rng` (which
-// then drives the mutations).
-inline std::string EventLogCorpusText(qnet::Rng& rng) {
+// The log under the event-log and observation corpora: a 24-task two-stage tandem,
+// simulated from `rng` (which then drives the mutations).
+inline qnet::EventLog CorpusLog(qnet::Rng& rng) {
   const qnet::QueueingNetwork net = qnet::MakeTandemNetwork(2.0, {4.0, 3.0});
-  const qnet::EventLog log = qnet::SimulateWorkload(net, qnet::PoissonArrivals(2.0, 24), rng);
+  return qnet::SimulateWorkload(net, qnet::PoissonArrivals(2.0, 24), rng);
+}
+
+// The event-log corpus base: CorpusLog as written by WriteEventLog.
+inline std::string EventLogCorpusText(qnet::Rng& rng) {
   std::ostringstream written;
-  qnet::WriteEventLog(written, log);
+  qnet::WriteEventLog(written, CorpusLog(rng));
   return written.str();
+}
+
+// The observation corpus base: CorpusLog with half its tasks observed, and that
+// observation as written by WriteObservation. ReadObservation checks rows against `log`.
+struct ObservationCorpus {
+  qnet::EventLog log;
+  std::string text;
+};
+inline ObservationCorpus ObservationCorpusBase(qnet::Rng& rng) {
+  qnet::EventLog log = CorpusLog(rng);
+  qnet::TaskSamplingScheme scheme;
+  scheme.fraction = 0.5;
+  std::ostringstream written;
+  qnet::WriteObservation(written, scheme.Apply(log, rng));
+  return ObservationCorpus{std::move(log), written.str()};
 }
 
 // The window-estimate corpus base: 8 three-queue estimates drawn from `rng`, covering

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "qnet/infer/general_gibbs.h"
 #include "qnet/infer/gibbs.h"
 #include "qnet/infer/initializer.h"
 #include "qnet/infer/parallel_chains.h"
@@ -360,29 +359,6 @@ TEST(ShardedSweep, BitIdenticalForAnyThreadCountTandem) {
   const SweepRunResult four = RunSharded(fixture, 4, 4, 77, 40);
   ExpectBitIdentical(one, two);
   ExpectBitIdentical(one, four);
-}
-
-TEST(ShardedSweep, GeneralSamplerBitIdenticalAcrossThreadCounts) {
-  const Fixture fixture = MakeTandemFixture();
-  const QueueingNetwork net = MakeTandemNetwork(2.0, {4.0, 3.0, 5.0});
-  const auto run = [&](std::size_t threads) {
-    GeneralGibbsSampler sampler(fixture.init, fixture.obs, net);
-    ShardedSweepOptions options;
-    options.shards = 4;
-    options.threads = threads;
-    sampler.EnableShardedSweeps(options);
-    Rng rng(99);
-    for (int sweep = 0; sweep < 15; ++sweep) {
-      sampler.Sweep(rng);
-    }
-    return sampler.State();
-  };
-  const EventLog serial = run(1);
-  const EventLog parallel = run(4);
-  for (EventId e = 0; static_cast<std::size_t>(e) < serial.NumEvents(); ++e) {
-    EXPECT_EQ(serial.Arrival(e), parallel.Arrival(e)) << "event " << e;
-    EXPECT_EQ(serial.Departure(e), parallel.Departure(e)) << "event " << e;
-  }
 }
 
 TEST(ShardedSweep, SweepsStayFeasible) {

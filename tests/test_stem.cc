@@ -173,9 +173,6 @@ TEST(Stem, RateTraceHasExpectedShape) {
   const StemResult result = StemEstimator(options).Run(truth, obs, {1.0, 1.0}, rng);
   EXPECT_EQ(result.rate_trace.size(), 25u);
   EXPECT_EQ(result.rate_trace[0].size(), 2u);
-  ASSERT_TRUE(result.final_state.has_value());
-  std::string why;
-  EXPECT_TRUE(result.final_state->IsFeasible(1e-6, &why)) << why;
   EXPECT_THROW(
       {
         StemOptions bad;

@@ -9,6 +9,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -18,12 +19,15 @@
 #include <system_error>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "support/csv_corpora.h"
 #include "support/reference_csv.h"
 #include "qnet/model/builders.h"
 #include "qnet/sim/simulator.h"
+#include "qnet/stream/replay_stream.h"
 #include "qnet/support/check.h"
 #include "qnet/support/rng.h"
 #include "qnet/trace/table.h"
@@ -133,6 +137,76 @@ TEST(Csv, RejectsCorruptStreams) {
   EXPECT_THROW(ReadEventLog(junk_number), Error);
 }
 
+// A one-task log (one visit, to queue 1) under a '# queues=N' header.
+std::string LogWithQueuesHeader(long queues) {
+  return "# queues=" + std::to_string(queues) +
+         "\ntask,state,queue,arrival,departure,initial\n0,-1,0,0,1,1\n0,0,1,1,2,0\n";
+}
+
+TEST(Csv, QueuesHeaderAtTheCapReadsAndAboveItIsRejectedByBothReaders) {
+  std::istringstream log_at_cap(LogWithQueuesHeader(kMaxEventLogQueues));
+  EXPECT_EQ(ReadEventLog(log_at_cap).NumQueues(), kMaxEventLogQueues);
+  std::istringstream stream_at_cap(LogWithQueuesHeader(kMaxEventLogQueues));
+  CsvReplayStream stream(stream_at_cap);
+  EXPECT_EQ(stream.NumQueues(), kMaxEventLogQueues);
+  TaskRecord record;
+  EXPECT_TRUE(stream.Next(record));
+  EXPECT_FALSE(stream.Next(record));
+
+  std::istringstream log_above(LogWithQueuesHeader(kMaxEventLogQueues + 1L));
+  EXPECT_THROW(ReadEventLog(log_above), Error);
+  std::istringstream stream_above(LogWithQueuesHeader(kMaxEventLogQueues + 1L));
+  EXPECT_THROW(CsvReplayStream{stream_above}, Error);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define QNET_SANITIZER_RUNTIME 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define QNET_SANITIZER_RUNTIME 1
+#endif
+#endif
+
+// Reads `text` through both header-taking readers under a 1 GiB address-space limit and
+// exits 0 iff each raised qnet::Error. A reader that sizes storage from the header first
+// hits the limit (std::bad_alloc, exit 1) inside this process instead of allocating
+// gigabytes on the host.
+[[noreturn]] void ReadEachHeaderReaderUnderAnAddressSpaceLimit(const std::string& text) {
+  constexpr rlim_t kLimit = rlim_t{1} << 30;
+  const rlimit limit{kLimit, kLimit};
+  if (setrlimit(RLIMIT_AS, &limit) != 0) {
+    std::_Exit(2);
+  }
+  int errors = 0;
+  try {
+    std::istringstream is(text);
+    (void)ReadEventLog(is);
+  } catch (const Error&) {
+    ++errors;
+  } catch (...) {
+  }
+  try {
+    std::istringstream is(text);
+    CsvReplayStream stream(is);
+    TaskRecord record;
+    while (stream.Next(record)) {
+    }
+  } catch (const Error&) {
+    ++errors;
+  } catch (...) {
+  }
+  std::_Exit(errors == 2 ? 0 : 1);
+}
+
+TEST(CsvDeathTest, HostileQueuesHeaderIsRejectedBeforeAnythingIsAllocated) {
+#ifdef QNET_SANITIZER_RUNTIME
+  GTEST_SKIP() << "sanitizer runtimes reserve more address space than the child's limit";
+#else
+  EXPECT_EXIT(ReadEachHeaderReaderUnderAnAddressSpaceLimit(LogWithQueuesHeader(999999999)),
+              ::testing::ExitedWithCode(0), "");
+#endif
+}
+
 TEST(Csv, RejectsPhysicallyImpossibleLogsWithTheFeasibilityReason) {
   // Well-formed rows, impossible physics: task 1 would leave the FIFO queue before task 0
   // (service starts at 5, when task 0 departs, but task 1 departs at 3).
@@ -177,6 +251,39 @@ TEST(Csv, ByteMutationsNeverCrashAndNeverYieldAnInfeasibleLog) {
     }
   }
   EXPECT_EQ(infeasible_accepted, 0) << "of " << accepted << " accepted mutations";
+  EXPECT_EQ(accepted + rejected, kMutations);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(Csv, ObservationByteMutationsRaiseOnlyErrorsAndYieldOnlyValidObservations) {
+  // Seeded mutation corpus over a valid observation: every single-byte mutation either
+  // raises qnet::Error or parses to an observation that passes Validate against its log.
+  // Any other exception fails the test.
+  Rng rng(37);
+  const qnet_testing::ObservationCorpus corpus = qnet_testing::ObservationCorpusBase(rng);
+  constexpr int kMutations = 20000;
+  int accepted = 0;
+  int rejected = 0;
+  int invalid_accepted = 0;
+  std::string mutated;
+  for (int i = 0; i < kMutations; ++i) {
+    mutated = corpus.text;
+    qnet_testing::MutateOneByte(mutated, rng, qnet_testing::kObservationMutationAlphabet);
+    std::istringstream is(mutated);
+    try {
+      const Observation parsed = ReadObservation(is, corpus.log);
+      ++accepted;
+      try {
+        parsed.Validate(corpus.log);
+      } catch (const Error&) {
+        ++invalid_accepted;
+      }
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(invalid_accepted, 0) << "of " << accepted << " accepted mutations";
   EXPECT_EQ(accepted + rejected, kMutations);
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
